@@ -10,10 +10,9 @@
 // simulation run; --trace-out renders the same runs as a Chrome trace_event
 // timeline (chrome://tracing). Absent flags leave the runs unobserved.
 // Simulation runs go through one BatchEngine (sim/batch_engine.h): each row
-// is a lane job advanced in lockstep by the SoA kernel, spread over
-// --threads K workers (0 = hardware concurrency). Per-run seeds are pre-drawn
-// sequentially and samples are collected by run index, so every statistic is
-// bit-identical for any K — and to the old one-Engine-per-run loop.
+// is a job of fixed-start runs spread over --threads K workers (0 = hardware
+// concurrency). Per-run seeds are pre-drawn sequentially and samples are
+// collected by run index, so every statistic is bit-identical for any K.
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -43,11 +42,11 @@ Summary simulate(BatchEngine& engine, const Protocol& proto,
                  std::uint64_t runIdBase) {
   // Thin client of the batch engine: every row's runs share one fixed start
   // configuration, so they are submitted as explicit lane plans (seeds drawn
-  // sequentially up front, util/seed.h) and the SoA kernel advances them in
-  // lockstep. Samples are collected by run index from the job's outcomes, so
-  // the summary is bit-identical to the old one-Engine-per-run loop for any
-  // worker count. The JSONL/trace observers are internally synchronized; only
-  // the event interleaving across runs varies with pool size.
+  // sequentially up front, util/seed.h) and the engine's workers run them.
+  // Samples are collected by run index from the job's outcomes, so the
+  // summary is bit-identical for any worker count. The JSONL/trace observers
+  // are internally synchronized; only the event interleaving across runs
+  // varies with pool size.
   const std::vector<std::uint64_t> seeds = drawRunSeeds(seed, runs);
   std::vector<LanePlan> plans(runs);
   for (std::uint32_t r = 0; r < runs; ++r) {

@@ -22,7 +22,7 @@
 // by .github/scripts/check_bench.py (see EXPERIMENTS.md E21);
 // --explore-throughput-out does the same for the E23 parallel-exploration
 // and parallel-search experiment (EXPERIMENTS.md E23),
-// --batch-throughput-out for the E26 many-replica SoA kernel / batch-engine
+// --batch-throughput-out for the E26 batch-engine vs runBatch throughput
 // experiment (EXPERIMENTS.md E26), and --memory-profile-out for the E27
 // exploration memory profile (per-component bytes/node across the registry,
 // plus a fresh-heap ledger-vs-RSS drift probe; EXPERIMENTS.md E27).
@@ -611,33 +611,7 @@ int dumpExploreThroughput(const std::string& path) {
   return 0;
 }
 
-// --- E26: many-replica batch throughput (SoA kernel + batch engine) --------
-
-/// Per-lane inputs for one batch-throughput case, derived exactly as a
-/// BatchSpec submit would (util/seed.h pre-split), with the E21 fallback for
-/// protocols whose arbitrary leader space is not enumerable at this P.
-std::vector<LanePlan> batchLanePlans(const Protocol& proto,
-                                     std::uint32_t numMobile,
-                                     std::uint32_t lanes, std::uint64_t seed) {
-  std::vector<Rng> laneRngs = splitRunRngs(seed, lanes);
-  std::vector<LanePlan> plans(lanes);
-  for (std::uint32_t r = 0; r < lanes; ++r) {
-    Rng& rng = laneRngs[r];
-    try {
-      plans[r].start = arbitraryConfiguration(proto, numMobile, rng);
-    } catch (const std::logic_error&) {
-      plans[r].start.mobile.clear();
-      for (std::uint32_t i = 0; i < numMobile; ++i) {
-        plans[r].start.mobile.push_back(
-            static_cast<StateId>(rng.below(proto.numMobileStates())));
-      }
-      plans[r].start.leader = LeaderStateId{0};
-    }
-    plans[r].schedSeed = rng.next();
-    plans[r].runId = r;
-  }
-  return plans;
-}
+// --- E26: batch engine vs plain runBatch throughput -------------------------
 
 bool sameOutcome(const RunOutcome& a, const RunOutcome& b) {
   return a.silent == b.silent && a.namingSolved == b.namingSolved &&
@@ -648,43 +622,64 @@ bool sameOutcome(const RunOutcome& a, const RunOutcome& b) {
          a.numMobile == b.numMobile && a.finalConfig == b.finalConfig;
 }
 
+bool sameSummary(const Summary& a, const Summary& b) {
+  return a.count == b.count && a.mean == b.mean && a.stddev == b.stddev &&
+         a.min == b.min && a.max == b.max && a.median == b.median &&
+         a.p10 == b.p10 && a.p90 == b.p90;
+}
+
+bool sameBatchResult(const BatchResult& a, const BatchResult& b) {
+  return a.converged == b.converged && a.named == b.named &&
+         a.timedOut == b.timedOut && a.runs == b.runs &&
+         a.degraded == b.degraded &&
+         sameSummary(a.convergenceInteractions, b.convergenceInteractions) &&
+         sameSummary(a.parallelTime, b.parallelTime);
+}
+
 struct BatchThroughputRow {
   std::string protocol;
   StateId p = 0;
-  std::uint64_t interactions = 0;  ///< aggregate across all lanes
+  std::uint64_t interactions = 0;  ///< total across the batch's runs
   double singleRunStepsPerSec = 0.0;
-  double perLaneStepsPerSec = 0.0;
-  double aggregateStepsPerSec = 0.0;
-  double speedup = 0.0;       ///< aggregate / single-run
+  double aggregateStepsPerSec = 0.0;  ///< BatchEngine::submit
+  double runBatchStepsPerSec = 0.0;   ///< runBatch, same spec and threads
+  double speedup = 0.0;               ///< aggregate / single-run
   bool identicalToScalar = false;
 };
 
-/// Runs the E26 batch-throughput experiment: K lanes of N agents through one
-/// BatchEngine (SoA kernel, all cores) vs the PR 3 single-run compiled
-/// baseline, and writes the report consumed by check_bench.py. Every case
-/// first re-runs its lane plans through the scalar one-Engine-per-run path
-/// and records whether all K outcomes were bit-identical (the determinism
-/// contract, enforced in-report so a regression is visible in the artifact).
+/// Runs the E26 batch-throughput experiment: one BatchSpec of K runs of N
+/// agents through BatchEngine::submit (all cores) and through a plain
+/// runBatch at the engine's thread count, best of N repetitions each with the
+/// order alternating, beside the PR 3 single-run compiled baseline; writes
+/// the report consumed by check_bench.py. Every case also re-runs the K runs
+/// through the scalar one-Engine-per-run path and records whether all K
+/// engine outcomes were bit-identical and the engine's BatchResult equals
+/// runBatch's (the determinism contract, enforced in-report so a regression
+/// is visible in the artifact).
 int dumpBatchThroughput(const std::string& path) {
   using Clock = std::chrono::steady_clock;
   struct Case {
     const char* key;
     StateId p;
   };
-  // Same registry coverage and P choices as the E21 step-throughput report.
+  // The E21 P choices, except selfstab-weak: a BatchSpec starts it from an
+  // arbitrary enumerable leader state, and its leader space is enumerable
+  // only up to P = 12 (the P its google-benchmark rows use).
   const Case cases[] = {{"asymmetric", 256},   {"symmetric-global", 255},
                         {"leader-uniform", 256}, {"counting", 256},
-                        {"selfstab-weak", 255},  {"global-leader", 256}};
-  const std::uint32_t numMobile = 256;
-  const std::uint32_t lanes = 1024;
-  // Per-lane budget: big enough that lane setup amortizes, small enough that
-  // 1024 lanes x 6 protocols x (vectorized + scalar + reps) stays a smoke
-  // workload. checkInterval == budget: one silence poll per burst, as the
-  // batch engine's clients configure their hot paths.
-  const RunLimits laneLimits{8192, 8192};
-  const int repetitions = 3;
-  const std::uint64_t seed = 13;
+                        {"selfstab-weak", 12},   {"global-leader", 256}};
   BatchEngine engine;  // all cores
+  BatchSpec spec;
+  spec.numMobile = 256;
+  spec.runs = 1024;
+  spec.seed = 13;
+  // Per-run budget: big enough that run setup amortizes, small enough that
+  // 1024 runs x 6 protocols x (engine + runBatch + scalar + reps) stays a
+  // smoke workload. checkInterval == budget: one silence poll per burst, as
+  // the batch engine's clients configure their hot paths.
+  spec.limits = RunLimits{8192, 8192};
+  spec.threads = engine.threads();
+  const int repetitions = 5;
 
   JsonWriter w;
   w.beginObject();
@@ -692,9 +687,9 @@ int dumpBatchThroughput(const std::string& path) {
   w.key("hardwareThreads")
       .value(std::max(1u, std::thread::hardware_concurrency()));
   w.key("engineThreads").value(engine.threads());
-  w.key("lanes").value(lanes);
-  w.key("numMobile").value(numMobile);
-  w.key("budgetPerLane").value(laneLimits.maxInteractions);
+  w.key("runs").value(spec.runs);
+  w.key("numMobile").value(spec.numMobile);
+  w.key("budgetPerRun").value(spec.limits.maxInteractions);
   w.key("repetitions").value(repetitions);
   w.key("rows").beginArray();
   bool allIdentical = true;
@@ -705,15 +700,15 @@ int dumpBatchThroughput(const std::string& path) {
     row.protocol = c.key;
     row.p = c.p;
 
-    // Single-run baseline: lane 0's plan, compiled Engine, same budget scaled
-    // to a timeable region (the PR 3 number this report's speedup is against).
+    // Single-run baseline: run 0's start and scheduler seed, compiled Engine,
+    // a timeable budget (the PR 3 number the speedup column is against).
     {
       const RunLimits limits{4'000'000, 4096};
       for (int rep = 0; rep < repetitions; ++rep) {
-        std::vector<LanePlan> one = batchLanePlans(*proto, numMobile, 1, seed);
-        Engine eng(*proto, std::move(one[0].start));
+        Rng rng = splitRunRngs(spec.seed, 1)[0];
+        Engine eng(*proto, arbitraryConfiguration(*proto, spec.numMobile, rng));
         eng.attachCompiled(&compiled);
-        RandomScheduler sched(eng.numParticipants(), one[0].schedSeed);
+        RandomScheduler sched(eng.numParticipants(), rng.next());
         const Clock::time_point t0 = Clock::now();
         const RunOutcome out = runUntilSilent(eng, sched, limits);
         const double secs =
@@ -726,70 +721,74 @@ int dumpBatchThroughput(const std::string& path) {
       }
     }
 
-    // Vectorized: all K lanes through the engine's queue, best-of-N reps.
-    LaneJobSpec jspec;
-    jspec.limits = laneLimits;
-    std::vector<RunOutcome> vectorized;
+    // The same batch through the engine's queue and through runBatch's
+    // per-call pool. Both execute the same runs (checked below), so the
+    // engine's interaction total is both sides' work.
+    std::vector<RunOutcome> pooled;
+    BatchResult engineResult;
+    BatchResult runBatchResult;
+    double engineSecs = 0.0;
+    double runBatchSecs = 0.0;
     for (int rep = 0; rep < repetitions; ++rep) {
-      std::vector<LanePlan> plans =
-          batchLanePlans(*proto, numMobile, lanes, seed);
-      const Clock::time_point t0 = Clock::now();
-      auto job = engine.submitLanes(*proto, std::move(plans), jspec);
-      job->wait();
-      const double secs =
-          std::chrono::duration<double>(Clock::now() - t0).count();
-      std::uint64_t total = 0;
-      for (const RunOutcome& out : job->outcomes()) {
-        total += out.totalInteractions;
+      for (int side = 0; side < 2; ++side) {
+        const bool engineSide = (rep + side) % 2 == 0;
+        const Clock::time_point t0 = Clock::now();
+        if (engineSide) {
+          auto job = engine.submit(*proto, spec);
+          engineResult = job->wait();
+          if (pooled.empty()) pooled = job->outcomes();
+        } else {
+          runBatchResult = runBatch(*proto, spec);
+        }
+        const double secs =
+            std::chrono::duration<double>(Clock::now() - t0).count();
+        double& best = engineSide ? engineSecs : runBatchSecs;
+        if (rep == 0 || secs < best) best = secs;
       }
-      row.interactions = total;
-      if (secs > 0.0) {
-        row.aggregateStepsPerSec = std::max(
-            row.aggregateStepsPerSec, static_cast<double>(total) / secs);
-      }
-      if (rep + 1 == repetitions) vectorized = job->outcomes();
     }
-    row.perLaneStepsPerSec = row.aggregateStepsPerSec / lanes;
+    for (const RunOutcome& out : pooled) row.interactions += out.totalInteractions;
+    const auto total = static_cast<double>(row.interactions);
+    row.aggregateStepsPerSec = engineSecs > 0.0 ? total / engineSecs : 0.0;
+    row.runBatchStepsPerSec = runBatchSecs > 0.0 ? total / runBatchSecs : 0.0;
     row.speedup = row.singleRunStepsPerSec > 0.0
                       ? row.aggregateStepsPerSec / row.singleRunStepsPerSec
                       : 0.0;
 
-    // Differential pass: the same plans, one scalar Engine per lane.
-    {
-      std::vector<LanePlan> plans =
-          batchLanePlans(*proto, numMobile, lanes, seed);
-      row.identicalToScalar = true;
-      for (std::uint32_t r = 0; r < lanes; ++r) {
-        Engine eng(*proto, std::move(plans[r].start));
-        eng.attachCompiled(&compiled);
-        RandomScheduler sched(eng.numParticipants(), plans[r].schedSeed);
-        const RunOutcome out = runUntilSilent(eng, sched, laneLimits);
-        if (!sameOutcome(out, vectorized[r])) {
-          row.identicalToScalar = false;
-          break;
-        }
-      }
+    // Differential pass: the same runs, one scalar Engine each.
+    row.identicalToScalar = sameBatchResult(engineResult, runBatchResult);
+    std::vector<Rng> runRngs = splitRunRngs(spec.seed, spec.runs);
+    for (std::uint32_t r = 0; r < spec.runs && row.identicalToScalar; ++r) {
+      Engine eng(*proto,
+                 arbitraryConfiguration(*proto, spec.numMobile, runRngs[r]));
+      eng.attachCompiled(&compiled);
+      RandomScheduler sched(eng.numParticipants(), runRngs[r].next());
+      const RunOutcome out = runUntilSilent(eng, sched, spec.limits);
+      row.identicalToScalar = sameOutcome(out, pooled[r]);
     }
     allIdentical = allIdentical && row.identicalToScalar;
 
     w.beginObject();
     w.key("protocol").value(row.protocol);
     w.key("p").value(row.p);
-    w.key("lanes").value(lanes);
-    w.key("numMobile").value(numMobile);
+    w.key("runs").value(spec.runs);
+    w.key("numMobile").value(spec.numMobile);
     w.key("interactions").value(row.interactions);
     w.key("singleRunStepsPerSec").value(row.singleRunStepsPerSec);
-    w.key("perLaneStepsPerSec").value(row.perLaneStepsPerSec);
     w.key("aggregateStepsPerSec").value(row.aggregateStepsPerSec);
+    w.key("runBatchStepsPerSec").value(row.runBatchStepsPerSec);
     w.key("speedup").value(row.speedup);
     w.key("identicalToScalar").value(row.identicalToScalar);
     w.endObject();
     std::fprintf(stderr,
-                 "batch-throughput %-16s P=%-3u lanes=%u single=%.3gM/s "
-                 "aggregate=%.3gM/s speedup=%.2fx identical=%s\n",
-                 row.protocol.c_str(), row.p, lanes,
+                 "batch-throughput %-16s P=%-3u runs=%u single=%.3gM/s "
+                 "engine=%.3gM/s runBatch=%.3gM/s engine/runBatch=%.3f "
+                 "identical=%s\n",
+                 row.protocol.c_str(), row.p, spec.runs,
                  row.singleRunStepsPerSec / 1e6,
-                 row.aggregateStepsPerSec / 1e6, row.speedup,
+                 row.aggregateStepsPerSec / 1e6, row.runBatchStepsPerSec / 1e6,
+                 row.runBatchStepsPerSec > 0.0
+                     ? row.aggregateStepsPerSec / row.runBatchStepsPerSec
+                     : 0.0,
                  row.identicalToScalar ? "yes" : "NO");
   }
   w.endArray();

@@ -14,9 +14,7 @@
 // in tests/core/compiled_test.cpp enforce bit-identical RunOutcomes.
 #pragma once
 
-#include <bit>
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -137,114 +135,5 @@ class CompiledProtocol {
   std::vector<LeaderEntry> leader_;    ///< L x Q successors
   std::vector<std::uint64_t> nullLM_;  ///< L x Q null bitmap
 };
-
-// --- per-lane incremental silence tracker ----------------------------------
-//
-// The tracker state of ONE replica ("lane") of a compiled protocol: the
-// mobile-state histogram, the presence bitset, and the live-unordered-pair
-// counter. The Engine owns one lane; the SoA kernel (sim/soa_kernel.h) owns K
-// of them side by side in packed arrays. Both drive the same arithmetic
-// through this view, so the O(1)-per-interaction update rule and the silence
-// rule live in exactly one place.
-//
-// The view borrows caller-owned storage: `hist` is numStates() counters,
-// `present` is wordsPerRow() words, `activePairs` one counter. Nothing here
-// allocates or branches on ownership — it compiles away into the same code
-// the Engine historically inlined.
-class CompiledLaneTracker {
- public:
-  CompiledLaneTracker(const CompiledProtocol& compiled, std::uint32_t* hist,
-                      std::uint64_t* present, std::uint64_t& activePairs)
-      : compiled_(compiled),
-        hist_(hist),
-        present_(present),
-        activePairs_(activePairs) {}
-
-  /// Number of live pairs {s, t} with t present: the compiled row has bit t
-  /// set iff the unordered state pair can still change the configuration. Bit
-  /// s is clear in its own row, so the order of presence updates cannot skew
-  /// this.
-  static std::uint64_t activeWith(const CompiledProtocol& compiled,
-                                  const std::uint64_t* present, StateId s) {
-    const std::uint64_t* row = compiled.activeRow(s);
-    std::uint64_t count = 0;
-    const std::size_t words = compiled.wordsPerRow();
-    for (std::size_t w = 0; w < words; ++w) {
-      count += static_cast<std::uint64_t>(std::popcount(row[w] & present[w]));
-    }
-    return count;
-  }
-  std::uint64_t activeWith(StateId s) const {
-    return activeWith(compiled_, present_, s);
-  }
-
-  void add(StateId s) {
-    const std::uint32_t c = ++hist_[s];
-    if (c == 1) {
-      present_[s >> 6] |= std::uint64_t{1} << (s & 63);
-      activePairs_ += activeWith(s);
-    } else if (c == 2 && compiled_.diagActive(s)) {
-      ++activePairs_;
-    }
-  }
-
-  void remove(StateId s) {
-    const std::uint32_t c = --hist_[s];
-    if (c == 0) {
-      present_[s >> 6] &= ~(std::uint64_t{1} << (s & 63));
-      activePairs_ -= activeWith(s);
-    } else if (c == 1 && compiled_.diagActive(s)) {
-      --activePairs_;
-    }
-  }
-
-  /// Rebuilds the lane from a mobile-state sequence (histogram, presence and
-  /// pair counter zeroed first). Caller-validated states only.
-  template <typename It>
-  void rebuild(It first, It last) {
-    const StateId q = compiled_.numStates();
-    for (StateId s = 0; s < q; ++s) hist_[s] = 0;
-    const std::size_t words = compiled_.wordsPerRow();
-    for (std::size_t w = 0; w < words; ++w) present_[w] = 0;
-    activePairs_ = 0;
-    for (It it = first; it != last; ++it) add(*it);
-  }
-
- private:
-  const CompiledProtocol& compiled_;
-  std::uint32_t* hist_;
-  std::uint64_t* present_;
-  std::uint64_t& activePairs_;
-};
-
-/// Silence verdict for one lane from its tracker state: the pair counter
-/// answers the mobile-mobile question in O(1); the leader — whose state
-/// changes only on leader interactions, while silence is polled, not
-/// streamed — is judged by scanning the present states against the compiled
-/// null row, or the virtual delta when `leaderIdx` says the current leader
-/// state is outside the compiled set. Identical verdict to
-/// isSilent(proto, config) by the PR 3 equivalence tests.
-inline bool compiledLaneSilent(const CompiledProtocol& compiled,
-                               const Protocol& proto,
-                               std::uint64_t activePairs,
-                               const std::uint32_t* hist,
-                               const std::optional<LeaderStateId>& leader,
-                               std::uint32_t leaderIdx) {
-  if (activePairs != 0) return false;
-  if (!leader.has_value()) return true;
-  const StateId q = compiled.numStates();
-  if (leaderIdx != CompiledProtocol::kNoLeaderIndex) {
-    for (StateId s = 0; s < q; ++s) {
-      if (hist[s] != 0 && !compiled.leaderNull(leaderIdx, s)) return false;
-    }
-    return true;
-  }
-  for (StateId s = 0; s < q; ++s) {
-    if (hist[s] == 0) continue;
-    const LeaderResult r = proto.leaderDelta(*leader, s);
-    if (r.mobile != s || r.leader != *leader) return false;
-  }
-  return true;
-}
 
 }  // namespace ppn

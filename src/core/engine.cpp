@@ -326,29 +326,43 @@ bool Engine::stepCompiled(Interaction interaction) {
   return true;
 }
 
-// The tracker arithmetic itself lives in core/compiled.h
-// (CompiledLaneTracker), shared with the SoA many-lane kernel; the engine is
-// the one-lane owner of its storage.
-
 std::uint64_t Engine::trackerActiveWith(StateId s) const {
-  return CompiledLaneTracker::activeWith(*compiled_, present_.data(), s);
+  // Number of live pairs {s, t} with t present: the compiled row has bit t
+  // set iff the unordered pair can still change the configuration. Bit s is
+  // clear in its own row, so the order of presence updates cannot skew this.
+  const std::uint64_t* row = compiled_->activeRow(s);
+  std::uint64_t count = 0;
+  for (std::size_t w = 0; w < present_.size(); ++w) {
+    count += static_cast<std::uint64_t>(std::popcount(row[w] & present_[w]));
+  }
+  return count;
 }
 
 void Engine::trackerAdd(StateId s) {
-  CompiledLaneTracker(*compiled_, hist_.data(), present_.data(), activePairs_)
-      .add(s);
+  const std::uint32_t c = ++hist_[s];
+  if (c == 1) {
+    present_[s >> 6] |= std::uint64_t{1} << (s & 63);
+    activePairs_ += trackerActiveWith(s);
+  } else if (c == 2 && compiled_->diagActive(s)) {
+    ++activePairs_;
+  }
 }
 
 void Engine::trackerRemove(StateId s) {
-  CompiledLaneTracker(*compiled_, hist_.data(), present_.data(), activePairs_)
-      .remove(s);
+  const std::uint32_t c = --hist_[s];
+  if (c == 0) {
+    present_[s >> 6] &= ~(std::uint64_t{1} << (s & 63));
+    activePairs_ -= trackerActiveWith(s);
+  } else if (c == 1 && compiled_->diagActive(s)) {
+    --activePairs_;
+  }
 }
 
 void Engine::rebuildTracker() {
-  hist_.resize(compiled_->numStates());
-  present_.resize(compiled_->wordsPerRow());
-  CompiledLaneTracker(*compiled_, hist_.data(), present_.data(), activePairs_)
-      .rebuild(config_.mobile.begin(), config_.mobile.end());
+  hist_.assign(compiled_->numStates(), 0);
+  present_.assign(compiled_->wordsPerRow(), 0);
+  activePairs_ = 0;
+  for (const StateId s : config_.mobile) trackerAdd(s);
   refreshLeaderIndex();
 }
 
@@ -361,8 +375,25 @@ void Engine::refreshLeaderIndex() {
 }
 
 bool Engine::fastSilent() const {
-  return compiledLaneSilent(*compiled_, *proto_, activePairs_, hist_.data(),
-                            config_.leader, leaderIdx_);
+  if (activePairs_ != 0) return false;
+  if (!config_.leader.has_value()) return true;
+  // Leader rows are not tracked incrementally (the leader state changes on
+  // leader interactions only, and silence is polled, not streamed): scan the
+  // present states against the compiled null row — or the virtual delta when
+  // the leader state is outside the compiled set.
+  const StateId q = static_cast<StateId>(hist_.size());
+  if (leaderIdx_ != CompiledProtocol::kNoLeaderIndex) {
+    for (StateId s = 0; s < q; ++s) {
+      if (hist_[s] != 0 && !compiled_->leaderNull(leaderIdx_, s)) return false;
+    }
+    return true;
+  }
+  for (StateId s = 0; s < q; ++s) {
+    if (hist_[s] == 0) continue;
+    const LeaderResult r = proto_->leaderDelta(*config_.leader, s);
+    if (r.mobile != s || r.leader != *config_.leader) return false;
+  }
+  return true;
 }
 
 bool Engine::silent() const {

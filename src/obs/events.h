@@ -10,9 +10,9 @@
 //   watchdog_abort  {run, at, budget_millis}
 //   cancelled       {run, at}
 //   batch_progress  {completed, total, degraded, lanes_live, lanes_retired}
-//                   (the lane fields are 0/absent-semantics for scalar batch
-//                   drivers; the SoA batch engine reports live-lane occupancy
-//                   and cumulative silence retirements per completed block)
+//                   (the lane fields are 0/absent-semantics for runBatch;
+//                   the batch engine reports runs not yet completed and
+//                   cumulative silence retirements per completed block)
 //
 // The sink also implements ExploreObserver (obs/explore_observer.h), so one
 // file carries both simulation and analysis telemetry (E22):

@@ -71,9 +71,9 @@ struct BatchProgressEvent {
   std::uint32_t completed = 0;  ///< runs finished so far in this batch
   std::uint32_t total = 0;      ///< runs the batch will execute
   std::uint32_t degraded = 0;   ///< completed runs aborted by the watchdog
-  /// SoA batch-engine lane telemetry (sim/batch_engine.h): lanes still
-  /// resident in the wide kernel vs. runs retired by reaching silence.
-  /// Scalar batch drivers leave both 0.
+  /// Batch-engine telemetry (sim/batch_engine.h): runs of the job not yet
+  /// completed vs. completed runs that reached silence. runBatch leaves
+  /// both 0.
   std::uint32_t lanesLive = 0;
   std::uint32_t lanesRetired = 0;
 };

@@ -74,7 +74,11 @@ void BatchEngine::enqueue(std::function<void()> task) {
     const std::lock_guard<std::mutex> lock(mutex_);
     queue_.push_back(std::move(task));
   }
-  queueCv_.notify_one();
+  // Wake every idle worker, not one: with glibc's condition variables a
+  // single notify_one can be lost (sourceware bug 25847), which would strand
+  // the task behind sleeping workers until the next enqueue. Workers that
+  // find the queue empty go back to sleep.
+  queueCv_.notify_all();
 }
 
 void BatchEngine::drain() {
@@ -122,9 +126,8 @@ std::shared_ptr<BatchEngine::Job> BatchEngine::submitLanes(
   job->sink = std::move(sink);
   job->plans = std::move(plans);
   const auto runs = static_cast<std::uint32_t>(job->plans.size());
-  job->numMobile_ = runs > 0 ? job->plans[0].start.numMobile() : 0;
   for (const LanePlan& plan : job->plans) {
-    if (plan.start.numMobile() != job->numMobile_) {
+    if (plan.start.numMobile() != job->plans[0].start.numMobile()) {
       throw std::invalid_argument(
           "BatchEngine: lane plans must share one population size");
     }
@@ -151,46 +154,27 @@ std::shared_ptr<BatchEngine::Job> BatchEngine::submitLanes(
   return job;
 }
 
+// Runs plans [lo, hi) one after another, each on its own Engine exactly as a
+// runBatch worker would (compiled when the job's protocol compiles, flight
+// recorder attached when the job has one), so every outcome is bit-identical
+// to the scalar drivers whatever the block size.
 void BatchEngine::runBlock(const std::shared_ptr<Job>& job, std::uint32_t lo,
                            std::uint32_t hi) {
   std::vector<RunOutcome> block(hi - lo);
   if (!job->cancel_.load(std::memory_order_relaxed)) {
     try {
-      // The SoA kernel handles every lane the compiled envelope covers; a
-      // flight recorder needs a per-run Engine for its samples, so recorded
-      // jobs (and uncompilable protocols) take the scalar per-lane path —
-      // identical outcomes either way.
-      if (job->compiled != nullptr && job->spec.recorder == nullptr) {
-        std::vector<LaneInput> lanes;
-        lanes.reserve(hi - lo);
-        const std::uint32_t participants =
-            job->numMobile_ + (job->proto->hasLeader() ? 1u : 0u);
-        for (std::uint32_t r = lo; r < hi; ++r) {
-          LaneInput lane;
-          lane.start = std::move(job->plans[r].start);
-          lane.sched = makeScheduler(job->spec.sched, participants,
-                                     job->plans[r].schedSeed);
-          lane.runId = job->plans[r].runId;
-          lanes.push_back(std::move(lane));
+      for (std::uint32_t r = lo; r < hi; ++r) {
+        if (job->cancel_.load(std::memory_order_relaxed)) break;
+        Engine engine(*job->proto, std::move(job->plans[r].start));
+        if (job->compiled != nullptr) {
+          engine.attachCompiled(job->compiled.get());
         }
-        block = runLanesUntilSilent(*job->proto, *job->compiled, lanes,
-                                    job->spec.limits, &job->cancel_,
-                                    job->spec.observer);
-      } else {
-        for (std::uint32_t r = lo; r < hi; ++r) {
-          if (job->cancel_.load(std::memory_order_relaxed)) break;
-          Engine engine(*job->proto, std::move(job->plans[r].start));
-          if (job->compiled != nullptr) {
-            engine.attachCompiled(job->compiled.get());
-          }
-          auto sched = makeScheduler(job->spec.sched, engine.numParticipants(),
-                                     job->plans[r].schedSeed);
-          engine.attachObserver(job->spec.observer, job->plans[r].runId);
-          block[r - lo] = runUntilSilent(engine, *sched, job->spec.limits,
-                                         &job->cancel_, job->spec.observer,
-                                         job->plans[r].runId,
-                                         job->spec.recorder);
-        }
+        auto sched = makeScheduler(job->spec.sched, engine.numParticipants(),
+                                   job->plans[r].schedSeed);
+        engine.attachObserver(job->spec.observer, job->plans[r].runId);
+        block[r - lo] = runUntilSilent(engine, *sched, job->spec.limits,
+                                       &job->cancel_, job->spec.observer,
+                                       job->plans[r].runId, job->spec.recorder);
       }
     } catch (...) {
       {
@@ -219,10 +203,10 @@ void BatchEngine::finishBlock(const std::shared_ptr<Job>& job, std::uint32_t lo,
   // Batch progress mirrors runBatch: one event per completed run. Blocks
   // skipped by cancellation or killed by an exception report no progress,
   // like the scalar workers they replace. Lane telemetry rides along:
-  // lanesLive counts runs not yet completed (the kernel's remaining
-  // occupancy) and lanesRetired the completed runs that reached silence —
-  // both derived from outcomes under the job lock, so the enriched stream
-  // stays deterministic for any pool size or block interleaving.
+  // lanesLive counts runs not yet completed and lanesRetired the completed
+  // runs that reached silence — both derived from outcomes under the job
+  // lock, so the enriched stream stays deterministic for any pool size or
+  // block interleaving.
   if (job->spec.observer != nullptr && ranCleanly &&
       !job->cancel_.load(std::memory_order_relaxed)) {
     const auto total = static_cast<std::uint32_t>(job->plans.size());

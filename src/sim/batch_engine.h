@@ -1,28 +1,27 @@
-// Async batch "naming service" front end over the SoA many-lane kernel.
+// Async batch "naming service": one worker pool and one ordered front end
+// over scalar runUntilSilent runs.
 //
 // A BatchEngine owns one worker pool and ONE work queue. Clients submit whole
 // batches (a BatchSpec, exactly as runBatch takes) or explicit fixed-start
-// lane plans; the engine splits each job into lane-block tasks, queues them
-// FIFO, and the workers drain the queue through runLanesUntilSilent — so any
-// number of concurrent jobs saturates all cores from a single queue, and a
-// converged lane retires without stalling its block. Completed RunOutcomes
-// can be streamed as JSONL lines, emitted strictly in run order so the stream
-// bytes are deterministic no matter how blocks interleave.
+// lane plans; the engine splits each job into run-block tasks, queues them
+// FIFO, and the workers drain the queue — one Engine per run, with the job's
+// CompiledProtocol attached when the protocol compiles — so any number of
+// concurrent jobs saturates all cores from a single queue. Completed
+// RunOutcomes can be streamed as JSONL lines, emitted strictly in run order
+// so the stream bytes are deterministic no matter how blocks interleave.
 //
 // Determinism contract: per-run inputs are derived sequentially at submit()
 // time through util/seed.h — the SAME derivation runBatch performs — and each
 // run only ever consumes its own pre-split generator and scheduler stream.
 // BatchEngine::submit(spec)->wait() therefore returns a BatchResult (and
 // per-run outcomes, and per-runId observer event sequences) bit-identical to
-// runBatch(proto, spec), for every pool size and lane-block size
+// runBatch(proto, spec), for every pool size and block size
 // (tests/sim/batch_engine_test.cpp enforces this differentially).
 //
 // RunObserver/metrics wiring is unchanged from the scalar drivers: the
 // spec's observer receives the usual per-run events plus batch_progress, from
 // worker threads (observers must be thread-safe, as with runBatch
-// threads > 1). Jobs needing a FlightRecorder, or protocols outside the
-// compiled envelope, degrade per-lane to the scalar runUntilSilent path with
-// identical outcomes.
+// threads > 1).
 #pragma once
 
 #include <condition_variable>
@@ -36,16 +35,14 @@
 #include <vector>
 
 #include "sim/runner.h"
-#include "sim/soa_kernel.h"
 
 namespace ppn {
 
 struct BatchEngineOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency().
   std::uint32_t threads = 0;
-  /// Lanes per queued task: the scheduling granule. Smaller blocks spread one
-  /// job over more cores; larger blocks amortize kernel setup. Never affects
-  /// results, only scheduling.
+  /// Runs per queued task: the scheduling granule. Smaller blocks spread one
+  /// job over more cores. Never affects results, only scheduling.
   std::uint32_t lanesPerTask = 256;
 };
 
@@ -79,7 +76,7 @@ std::string runOutcomeJsonl(const RunOutcome& out, std::uint64_t runId);
 class BatchEngine {
  public:
   /// Handle to a submitted batch. Results become available once every one of
-  /// the job's lane blocks has drained from the queue.
+  /// the job's run blocks has drained from the queue.
   class Job {
    public:
     /// Blocks until the job completes; aggregates exactly as runBatch does
@@ -100,7 +97,6 @@ class BatchEngine {
     LaneJobSpec spec;
     JsonlLineSink sink;
     std::shared_ptr<CompiledProtocol> compiled;  ///< shared by all blocks
-    std::uint32_t numMobile_ = 0;
 
     mutable std::mutex mutex_;
     std::condition_variable cv_;

@@ -215,9 +215,8 @@ BatchResult summarizeBatch(const std::vector<RunOutcome>& outcomes);
 /// rethrown with its message intact; runs aborted by the watchdog are
 /// reported via `timedOut`/`degraded` rather than blocking the batch.
 ///
-/// This is the scalar reference path (one Engine per run). The vectorized
-/// equivalent — same spec, bit-identical outcomes — is
-/// BatchEngine::submit(proto, spec) in sim/batch_engine.h.
+/// The same runs on a long-lived shared pool — same spec, bit-identical
+/// outcomes — are BatchEngine::submit(proto, spec) in sim/batch_engine.h.
 BatchResult runBatch(const Protocol& proto, const BatchSpec& spec);
 
 }  // namespace ppn

@@ -8,8 +8,8 @@
 //  * splitRunRngs — one child generator per run, split sequentially from a
 //    single master. The only source of randomness a run sees is its own
 //    child, so batch results are bit-identical for every thread count and
-//    every execution backend (scalar workers, the SoA lane kernel, campaign
-//    shards). runBatch, runCampaign, and BatchEngine::submit all derive
+//    every execution backend (runBatch workers, the batch engine's pool,
+//    campaign shards). runBatch, runCampaign, and BatchEngine::submit all derive
 //    per-run inputs through this function — that sharing IS the determinism
 //    contract between them.
 //  * drawRunSeeds — one raw 64-bit seed per run, drawn sequentially

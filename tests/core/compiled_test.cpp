@@ -381,6 +381,11 @@ TEST(Validation, ApplyInteractionRejectsOutOfRangeParticipants) {
   engine.attachCompiled(&cp);
   EXPECT_THROW(engine.step(Interaction{9, 0}), std::logic_error);
   EXPECT_THROW(engine.step(Interaction{1, 1}), std::logic_error);
+  // A table compiled from another (even identical) protocol object is
+  // rejected: its tracker rows would describe someone else's delta.
+  const AsymmetricNaming other(3);
+  const CompiledProtocol foreign(other);
+  EXPECT_THROW(engine.attachCompiled(&foreign), std::logic_error);
 }
 
 }  // namespace

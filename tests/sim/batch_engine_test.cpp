@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/compiled.h"
 #include "core/engine.h"
 #include "faults/campaign.h"
 #include "faults/certify.h"
@@ -28,8 +30,8 @@ namespace {
 // every worker-pool size and lane-block size. Same for the campaign/certify
 // drivers routed through the shared pool.
 
-/// Per-runId event sequences, wall-clock fields excluded (they are the one
-/// sanctioned divergence between the scalar and vectorized paths).
+/// Per-runId event sequences, wall-clock fields excluded (they differ from
+/// run to run on any path).
 class SequenceObserver final : public RunObserver {
  public:
   void onRunStart(const RunStartEvent& e) override {
@@ -187,6 +189,9 @@ TEST(BatchEngine, SubmitMatchesRunBatchAcrossPoolGeometries) {
       {"asymmetric", 8, 8, InitKind::kArbitrary},
       {"leader-uniform", 8, 8, InitKind::kUniform},
       {"counting", 9, 8, InitKind::kArbitrary},
+      {"symmetric-global", 8, 8, InitKind::kArbitrary},
+      {"selfstab-weak", 6, 6, InitKind::kArbitrary},
+      {"global-leader", 4, 4, InitKind::kArbitrary},
   };
   for (const Case& c : cases) {
     const auto proto = makeProtocol(c.key, c.p);
@@ -320,6 +325,11 @@ TEST(BatchEngine, SubmitLanesMatchesScalarFixedStartRuns) {
   laneSpec.limits = limits;
 
   BatchEngine engine(BatchEngineOptions{2, 4});
+  auto empty = engine.submitLanes(*proto, {}, laneSpec);
+  EXPECT_TRUE(empty->done());
+  EXPECT_EQ(empty->wait().runs, 0u);
+  EXPECT_TRUE(empty->outcomes().empty());
+
   auto job = engine.submitLanes(*proto, std::move(plans), laneSpec);
   job->wait();
   ASSERT_EQ(job->outcomes().size(), runs);
@@ -412,6 +422,113 @@ TEST(BatchEngine, WaitRethrowsWorkerErrorsAndEngineSurvives) {
   spec.runs = 4;
   auto good = engine.submit(*proto, spec);
   EXPECT_EQ(good->wait().runs, 4u);
+}
+
+/// Never silent: every interaction flips both agents, so a run ends only by
+/// budget, watchdog or cancellation.
+class SpinProtocol final : public Protocol {
+ public:
+  std::string name() const override { return "spin"; }
+  StateId numMobileStates() const override { return 2; }
+  bool isSymmetric() const override { return true; }
+  MobilePair mobileDelta(StateId initiator, StateId responder) const override {
+    return MobilePair{initiator ^ 1u, responder ^ 1u};
+  }
+};
+
+/// Fails run 1 at its first silence poll, but only once run 0 has polled, so
+/// run 0 is in flight on another worker when the failure cancels the job.
+class FailRunOneObserver final : public RunObserver {
+ public:
+  void onRunStart(const RunStartEvent& e) override { append(e.runId, "start"); }
+  void onSilenceCheck(const SilenceCheckEvent& e) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (e.runId == 0) {
+      runZeroPolled_ = true;
+      cv_.notify_all();
+    } else if (e.runId == 1) {
+      cv_.wait(lock, [this] { return runZeroPolled_; });
+      throw std::runtime_error("run 1 fails");
+    }
+  }
+  void onCancelled(const CancelledEvent& e) override {
+    append(e.runId, "cancelled@" + std::to_string(e.interactions));
+  }
+  void onRunEnd(const RunEndEvent& e) override {
+    append(e.runId, std::string(e.cancelled ? "end cancelled" : "end") + "@" +
+                        std::to_string(e.totalInteractions));
+  }
+
+  std::map<std::uint64_t, std::vector<std::string>> sequences() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return sequences_;
+  }
+
+ private:
+  void append(std::uint64_t runId, std::string line) {
+    std::lock_guard<std::mutex> lock(mu_);
+    sequences_[runId].push_back(std::move(line));
+  }
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  bool runZeroPolled_ = false;
+  std::map<std::uint64_t, std::vector<std::string>> sequences_;
+};
+
+TEST(BatchEngine, CancellationFinishesEveryStartedRunWithPairedEvents) {
+  // A failing run cancels its job. The run in flight on the other worker
+  // must stop at its next poll with a paired run_start/run_end marked
+  // cancelled, having followed the scalar trajectory up to that point; runs
+  // still queued are skipped without events, as runBatch skips them.
+  const SpinProtocol proto;
+  const Configuration start{{0, 1, 0, 1}, std::nullopt};
+  std::vector<LanePlan> plans(3);
+  for (std::uint32_t r = 0; r < 3; ++r) {
+    plans[r].start = start;
+    plans[r].schedSeed = 40 + r;
+    plans[r].runId = r;
+  }
+  FailRunOneObserver obs;
+  LaneJobSpec spec;
+  // The watchdog only bounds a broken build; run 0 must end by cancellation.
+  spec.limits = RunLimits{1'000'000'000'000'000ULL, 64, 60'000};
+  spec.observer = &obs;
+
+  BatchEngine engine(BatchEngineOptions{2, 1});
+  auto job = engine.submitLanes(proto, std::move(plans), spec);
+  try {
+    job->wait();
+    FAIL() << "expected the failing run's exception to be rethrown";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "run 1 fails");
+  }
+
+  const RunOutcome& cancelled = job->outcomes()[0];
+  EXPECT_TRUE(cancelled.cancelled);
+  EXPECT_FALSE(cancelled.silent);
+  EXPECT_FALSE(cancelled.timedOut);
+  const std::uint64_t at = cancelled.totalInteractions;
+  const std::string atText = std::to_string(at);
+  const auto sequences = obs.sequences();
+  ASSERT_EQ(sequences.size(), 2u);
+  EXPECT_EQ(sequences.at(0),
+            (std::vector<std::string>{"start", "cancelled@" + atText,
+                                      "end cancelled@" + atText}));
+  EXPECT_EQ(sequences.at(1), (std::vector<std::string>{"start", "end@0"}));
+  EXPECT_EQ(job->outcomes()[2].totalInteractions, 0u);
+  EXPECT_FALSE(job->outcomes()[2].cancelled);
+
+  // Scalar reference: the same run with its budget set to the cancellation
+  // point reaches the same configuration after the same interactions.
+  const CompiledProtocol compiled(proto);
+  Engine scalar(proto, start);
+  scalar.attachCompiled(&compiled);
+  auto sched = makeScheduler(SchedulerKind::kRandom, scalar.numParticipants(),
+                             40);
+  const RunOutcome want = runUntilSilent(scalar, *sched, RunLimits{at, 64});
+  EXPECT_EQ(want.totalInteractions, at);
+  EXPECT_EQ(want.nonNullInteractions, cancelled.nonNullInteractions);
+  EXPECT_TRUE(want.finalConfig == cancelled.finalConfig);
 }
 
 TEST(BatchEngine, SubmitRejectsNonEnumerableArbitraryInit) {
