@@ -88,6 +88,7 @@ std::optional<AdversarySchedule> synthesizeWeakAdversary(
                           : static_cast<std::uint32_t>(topology->numEdges());
 
   // Find the first violating fair SCC, mirroring checkWeakFairness.
+  ConfigGraph::Reader configs(graph);
   for (std::uint32_t s = 0; s < scc.numSccs; ++s) {
     // One internal edge per label, plus one mobile-changing internal edge.
     std::vector<std::pair<std::uint32_t, Edge>> labelEdge(
@@ -110,7 +111,7 @@ std::optional<AdversarySchedule> synthesizeWeakAdversary(
 
     std::optional<std::uint32_t> badConfig;
     for (const std::uint32_t node : scc.members[s]) {
-      if (!problem.holds(graph.config(node))) {
+      if (!problem.holds(configs.at(node))) {
         badConfig = node;
         break;
       }

@@ -8,7 +8,7 @@
 // is the reference the parallel compressed engine must match bit-for-bit.
 #include <algorithm>
 #include <cstring>
-#include <deque>
+#include <ranges>
 #include <utility>
 #include <vector>
 
@@ -31,6 +31,68 @@ void flushTableToRun(FpTable& table, SpillRunSet& runs,
   if (action.compact) runs.compact();
 }
 
+namespace {
+
+/// Per-thread working memory of the serial compressed loop, reused across
+/// explorations so that a search's thousands of tiny explorations allocate
+/// only what the returned graph owns (DESIGN.md decision 19). The dedup
+/// table and key cache are emptied when an exploration ends and every other
+/// member is overwritten before it is read, so no state carries from one
+/// exploration into the next. The dedup table grows with the graph until
+/// FpTable::reset() releases it past FpTable::kRetainSlots, the key cache
+/// stops at kKeyCacheBytes, and the other buffers are bounded by one node's
+/// out-degree. None of it is charged to the
+/// MemoryLedger, which models the exploration's graph, dedup table and
+/// frontier, not this reusable buffer.
+struct SerialScratch {
+  static constexpr std::size_t kKeyCacheBytes = 16 * 1024;
+
+  FpTable table;
+  std::vector<std::pair<PackedConfig, EdgeMeta>> cands;
+  std::vector<RawEdge> rawEdges;
+  std::vector<std::uint8_t> body;
+  std::vector<std::uint8_t> verifyBuf;
+  /// Packed bytes of the first nodes, in id order, up to kKeyCacheBytes: a
+  /// fingerprint hit on one of them is verified by memcmp instead of a walk
+  /// of up to ConfigStore::kSampleStride - 1 deltas.
+  std::vector<std::uint8_t> keys;
+  std::vector<std::uint32_t> runCands;
+  ConfigStore::Cursor cursor;
+  Configuration current;
+  Configuration next;
+  Configuration next2;
+  bool busy = false;
+};
+
+/// Hands out the calling thread's scratch, or a private one when it is
+/// already in use (an observer callback that explores re-enters the loop).
+/// Empties the dedup table and key cache on release, also when the
+/// exploration throws.
+class ScratchLease {
+ public:
+  ScratchLease() : s_(tls().busy ? own_ : tls()) { s_.busy = true; }
+  ~ScratchLease() {
+    s_.table.reset();
+    s_.keys.clear();
+    s_.busy = false;
+  }
+  ScratchLease(const ScratchLease&) = delete;
+  ScratchLease& operator=(const ScratchLease&) = delete;
+
+  SerialScratch& get() { return s_; }
+
+ private:
+  static SerialScratch& tls() {
+    thread_local SerialScratch scratch;
+    return scratch;
+  }
+
+  SerialScratch own_;
+  SerialScratch& s_;
+};
+
+}  // namespace
+
 ConfigGraph exploreSerialCompressed(const Protocol& proto,
                                     const std::vector<Configuration>& initials,
                                     const ExploreOptions& options,
@@ -48,33 +110,46 @@ ConfigGraph exploreSerialCompressed(const Protocol& proto,
   EdgeStreamStore& estore = g.packed.edgeStore();
   ExploreTracker tracker(options.observer, options.exploreId, g, codec, n);
 
-  FpTable table;
+  ScratchLease lease;
+  SerialScratch& s = lease.get();
+  FpTable& table = s.table;
   SpillPolicy policy(options.spillBytes);
   SpillRunSet runs(options.spillDir);
   const std::uint32_t width = codec.packedBytes();
-  std::vector<std::uint8_t> verifyBuf(width);
-  std::vector<std::uint32_t> runCands;
+  s.verifyBuf.resize(width);
 
   // Probe order: RAM table, then spill runs (they cover disjoint id ranges).
   // A fingerprint match is confirmed by decoding the candidate's bytes.
   const auto matches = [&](std::uint32_t candId, const PackedConfig& key) {
-    store.decode(candId, verifyBuf.data());
-    return std::memcmp(verifyBuf.data(), key.data(), width) == 0;
+    const std::uint8_t* bytes = s.verifyBuf.data();
+    if ((std::size_t{candId} + 1) * width <= s.keys.size()) {
+      bytes = s.keys.data() + std::size_t{candId} * width;
+    } else {
+      store.decode(candId, s.verifyBuf.data());
+    }
+    return std::memcmp(bytes, key.data(), width) == 0;
   };
+  // Returns (id, isNew). A new node's id is store.count() at interning, and
+  // pops take ids in interning order, so the BFS frontier is always the id
+  // range [head, store.count()) and needs no container of its own.
   const auto intern = [&](const PackedConfig& key) {
     if (const auto hit = table.find(
             key.hash(), [&](std::uint32_t id) { return matches(id, key); })) {
       return std::pair<std::uint32_t, bool>{*hit, false};
     }
     if (runs.runCount() > 0) {
-      runs.candidates(key.hash(), runCands);
-      for (const std::uint32_t id : runCands) {
+      runs.candidates(key.hash(), s.runCands);
+      for (const std::uint32_t id : s.runCands) {
         if (matches(id, key)) return std::pair<std::uint32_t, bool>{id, false};
       }
     }
     const std::uint32_t id = store.count();
     store.append(key.data());
     table.insert(key.hash(), id);
+    if (s.keys.size() == std::size_t{id} * width &&
+        s.keys.size() + width <= SerialScratch::kKeyCacheBytes) {
+      s.keys.insert(s.keys.end(), key.data(), key.data() + width);
+    }
     return std::pair<std::uint32_t, bool>{id, true};
   };
   const auto syncComponents = [&] {
@@ -83,18 +158,17 @@ ConfigGraph exploreSerialCompressed(const Protocol& proto,
     tracker.setSpillState(policy.spillDiskBytes(), policy.runCount());
   };
 
-  std::deque<std::uint32_t> frontier;
   for (const auto& c : initials) {
-    const auto [id, isNew] = intern(codec.pack(canonical ? c.canonicalized() : c));
-    if (isNew) frontier.push_back(id);
+    assignConfig(s.next, c);
+    if (canonical) std::sort(s.next.mobile.begin(), s.next.mobile.end());
+    intern(codec.pack(s.next));
   }
   syncComponents();
 
-  ConfigStore::Cursor cursor(store);
-  std::vector<std::pair<Configuration, EdgeMeta>> cands;
-  std::vector<RawEdge> rawEdges;
-  std::vector<std::uint8_t> body;
-  while (!frontier.empty()) {
+  std::uint32_t head = 0;
+  const auto frontierSize = [&] { return std::size_t{store.count() - head}; };
+  s.cursor.reset(store);
+  while (head < store.count()) {
     // Spill maintenance precedes the budget check: flushing is exactly what
     // lets a tight maxBytes budget complete instead of truncating.
     if (const auto action = policy.maybeFlush(store.count())) {
@@ -102,7 +176,7 @@ ConfigGraph exploreSerialCompressed(const Protocol& proto,
       flushTableToRun(table, runs, *action);
     }
     syncComponents();
-    tracker.checkpoint(frontier.size());
+    tracker.checkpoint(frontierSize());
     const bool overNodes = g.size() > options.maxNodes;
     const bool overBytes =
         options.maxBytes != 0 && tracker.totalBytes() > options.maxBytes;
@@ -110,39 +184,34 @@ ConfigGraph exploreSerialCompressed(const Protocol& proto,
       g.truncated = true;
       g.truncatedByBudget = overBytes && !overNodes;
       tracker.recordTruncation(options.maxNodes, options.maxBytes,
-                               g.truncatedByBudget, frontier);
+                               g.truncatedByBudget,
+                               std::views::iota(head, store.count()));
       break;
     }
-    const std::uint32_t id = frontier.front();
-    frontier.pop_front();
-    tracker.recordExpansion(frontier.size());
+    const std::uint32_t id = head++;
+    tracker.recordExpansion(frontierSize());
     // Sequential decode: BFS pops ascend by one, so the cursor applies a
     // single delta per pop.
-    const Configuration current = codec.unpackBytes(cursor.at(id));
+    codec.unpackInto(s.cursor.at(id), s.current);
 
     {
       const SectionTimer timer(tracker, ExploreTracker::Section::kExpand);
-      cands.clear();
+      s.cands.clear();
+      const auto keep = [&](const Configuration& next, const EdgeMeta& meta) {
+        s.cands.emplace_back(codec.pack(next), meta);
+      };
       if (canonical) {
-        forEachCanonicalSuccessor(
-            proto, current, n,
-            [&](Configuration&& next, const EdgeMeta& meta) {
-              cands.emplace_back(std::move(next), meta);
-            });
+        forEachCanonicalSuccessor(proto, s.current, n, s.next, s.next2, keep);
       } else {
-        forEachConcreteSuccessor(
-            proto, current, m, options.topology,
-            [&](Configuration&& next, const EdgeMeta& meta) {
-              cands.emplace_back(std::move(next), meta);
-            });
+        forEachConcreteSuccessor(proto, s.current, m, options.topology, s.next,
+                                 s.next2, keep);
       }
     }
-    rawEdges.clear();
+    s.rawEdges.clear();
     {
       const SectionTimer timer(tracker, ExploreTracker::Section::kDedup);
-      for (auto& [next, meta] : cands) {
-        const auto [to, isNew] = intern(codec.pack(next));
-        if (isNew) frontier.push_back(to);
+      for (const auto& [key, meta] : s.cands) {
+        const auto [to, isNew] = intern(key);
         tracker.recordEdge(!isNew);
         RawEdge raw;
         raw.to = to;
@@ -151,19 +220,19 @@ ConfigGraph exploreSerialCompressed(const Protocol& proto,
                                               (meta.changedName ? 4 : 0));
         raw.initiator = meta.initiator;
         raw.responder = meta.responder;
-        rawEdges.push_back(raw);
+        s.rawEdges.push_back(raw);
       }
     }
     {
       const SectionTimer timer(tracker, ExploreTracker::Section::kAppend);
       EdgeStreamStore::encodeBody(
-          body, id, static_cast<std::uint32_t>(rawEdges.size()), !canonical,
-          [&](std::uint32_t k) { return rawEdges[k]; });
-      estore.appendStream(id, body);
+          s.body, id, static_cast<std::uint32_t>(s.rawEdges.size()),
+          !canonical, [&](std::uint32_t k) { return s.rawEdges[k]; });
+      estore.appendStream(id, s.body);
     }
   }
   syncComponents();
-  tracker.finish(frontier.size());
+  tracker.finish(frontierSize());
   return g;
 }
 

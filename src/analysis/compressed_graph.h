@@ -30,6 +30,7 @@
 // explorer's workers decode concurrently between level barriers.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -63,6 +64,17 @@ inline std::uint64_t readVarint(const std::uint8_t* p, std::uint64_t& pos) {
     if ((b & 0x80u) == 0) return v;
     shift += 7;
   }
+}
+
+/// Writes v's varint at `out` (room for 10 bytes) and returns its length.
+inline std::uint32_t writeVarint(std::uint8_t* out, std::uint64_t v) {
+  std::uint32_t n = 0;
+  while (v >= 0x80) {
+    out[n++] = static_cast<std::uint8_t>(v) | 0x80u;
+    v >>= 7;
+  }
+  out[n++] = static_cast<std::uint8_t>(v);
+  return n;
 }
 
 inline std::uint32_t varintSize(std::uint64_t v) {
@@ -150,8 +162,7 @@ class ConfigStore {
       samples_.appendU64(blob_.size());
       blob_.append(bytes, width_);
     } else {
-      encodeDelta(tail_.data(), bytes, width_, &scratch_);
-      blob_.append(scratch_.data(), scratch_.size());
+      appendDelta(tail_.data(), bytes);
     }
     std::memcpy(tail_.data(), bytes, width_);
     ++count_;
@@ -173,37 +184,49 @@ class ConfigStore {
   /// Sequential reader: at(id) is O(1 delta) when ids ascend by one (the BFS
   /// expansion order), falling back to a sampled decode on any other jump.
   /// Holds no pointers into the blob, so interleaved append() calls are fine.
+  /// The decoded record lives in a PackedConfig, inline up to
+  /// PackedConfig::kInlineBytes, so a cursor is pinned in place (no copy or
+  /// move) and a narrow one never touches the heap.
   class Cursor {
    public:
-    explicit Cursor(const ConfigStore& store)
-        : store_(&store), buf_(store.width()) {}
+    Cursor() = default;
+    explicit Cursor(const ConfigStore& store) { reset(store); }
+    Cursor(const Cursor&) = delete;
+    Cursor& operator=(const Cursor&) = delete;
+
+    /// Rebinds to `store` (the serial explorer keeps one cursor per thread
+    /// across explorations).
+    void reset(const ConfigStore& store) {
+      store_ = &store;
+      buf_ = record_.allocate(store.width());
+      have_ = false;
+    }
 
     const std::uint8_t* at(std::uint32_t id) {
-      if (have_ && id == cur_) return buf_.data();
+      if (have_ && id == cur_) return buf_;
       if (have_ && id == cur_ + 1 && id % kSampleStride != 0 &&
           id < store_->count_) {
-        store_->applyDelta(store_->blob_.data(), pos_, buf_.data(),
-                           store_->width_);
+        store_->applyDelta(store_->blob_.data(), pos_, buf_, store_->width_);
         cur_ = id;
-        return buf_.data();
+        return buf_;
       }
       // Restart from the sample at or below id, then walk forward.
       const std::uint32_t s = id / kSampleStride;
       pos_ = store_->samples_.u64At(s);
-      std::memcpy(buf_.data(), store_->blob_.data() + pos_, store_->width_);
+      std::memcpy(buf_, store_->blob_.data() + pos_, store_->width_);
       pos_ += store_->width_;
       for (std::uint32_t j = s * kSampleStride + 1; j <= id; ++j) {
-        store_->applyDelta(store_->blob_.data(), pos_, buf_.data(),
-                           store_->width_);
+        store_->applyDelta(store_->blob_.data(), pos_, buf_, store_->width_);
       }
       cur_ = id;
       have_ = true;
-      return buf_.data();
+      return buf_;
     }
 
    private:
-    const ConfigStore* store_;
-    std::vector<std::uint8_t> buf_;
+    const ConfigStore* store_ = nullptr;
+    PackedConfig record_;
+    std::uint8_t* buf_ = nullptr;
     std::uint64_t pos_ = 0;
     std::uint32_t cur_ = 0;
     bool have_ = false;
@@ -256,9 +279,10 @@ class ConfigStore {
   }
 
  private:
-  /// Delta record: varint(shared prefix), varint(shared suffix), raw middle.
-  static void encodeDelta(const std::uint8_t* prev, const std::uint8_t* next,
-                          std::uint32_t width, std::vector<std::uint8_t>* out) {
+  /// Appends the delta record of `next` against `prev`: varint(shared
+  /// prefix), varint(shared suffix), raw middle.
+  void appendDelta(const std::uint8_t* prev, const std::uint8_t* next) {
+    const std::uint32_t width = width_;
     std::uint32_t prefix = 0;
     while (prefix < width && prev[prefix] == next[prefix]) ++prefix;
     std::uint32_t suffix = 0;
@@ -266,10 +290,11 @@ class ConfigStore {
            prev[width - 1 - suffix] == next[width - 1 - suffix]) {
       ++suffix;
     }
-    out->clear();
-    appendVarint(*out, prefix);
-    appendVarint(*out, suffix);
-    out->insert(out->end(), next + prefix, next + (width - suffix));
+    std::uint8_t header[20];
+    std::uint32_t len = writeVarint(header, prefix);
+    len += writeVarint(header + len, suffix);
+    blob_.append(header, len);
+    blob_.append(next + prefix, width - prefix - suffix);
   }
 
   static std::uint64_t deltaSize(const std::uint8_t* prev,
@@ -301,7 +326,6 @@ class ConfigStore {
   ByteBuf blob_;
   ByteBuf samples_;                  // blob offset of every kSampleStride-th node
   std::vector<std::uint8_t> tail_;   // raw bytes of the last appended node
-  std::vector<std::uint8_t> scratch_;
 };
 
 // ---------------------------------------------------------------------------
@@ -353,9 +377,8 @@ class EdgeStreamStore {
   void appendStream(std::uint32_t nodeId, const std::vector<std::uint8_t>& body) {
     (void)nodeId;  // == streams_ by the append-in-expansion-order contract
     if (streams_ % kSampleStride == 0) samples_.appendU64(blob_.size());
-    scratch_.clear();
-    appendVarint(scratch_, body.size());
-    blob_.append(scratch_.data(), scratch_.size());
+    std::uint8_t header[10];
+    blob_.append(header, writeVarint(header, body.size()));
     blob_.append(body.data(), body.size());
     ++streams_;
   }
@@ -420,7 +443,6 @@ class EdgeStreamStore {
   std::uint32_t streams_ = 0;
   ByteBuf blob_;
   ByteBuf samples_;
-  std::vector<std::uint8_t> scratch_;
 };
 
 // ---------------------------------------------------------------------------
@@ -449,6 +471,25 @@ class FpTable {
            paddedAllocBytes(cap * sizeof(std::uint32_t));
   }
 
+  /// Slot arrays up to this capacity (tables of at most 512 entries)
+  /// survive reset(); clearing them costs at most a 4 KiB fill, far less
+  /// than regrowing them from empty.
+  static constexpr std::uint64_t kRetainSlots = 1024;
+
+  /// Empties the table for reuse by the next exploration: small slot arrays
+  /// are kept with their ids cleared, larger ones are released so that one
+  /// big graph does not pin its table. Probe results do not depend on the
+  /// capacity, so a reused table interns exactly like a fresh one, and the
+  /// ledger prices capacityFor(entries) either way.
+  void reset() {
+    count_ = 0;
+    if (cap_ <= kRetainSlots) {
+      std::fill(ids_.begin(), ids_.end(), kEmptySlot);
+    } else {
+      releaseSlots();
+    }
+  }
+
   void insert(std::uint64_t fp, std::uint32_t id) {
     const std::uint64_t need = capacityFor(count_ + 1);
     if (need > cap_) rehash(need);
@@ -474,11 +515,7 @@ class FpTable {
     for (std::uint64_t i = 0; i < cap_; ++i) {
       if (ids_[i] != kEmptySlot) out.emplace_back(fps_[i], ids_[i]);
     }
-    fps_.clear();
-    fps_.shrink_to_fit();
-    ids_.clear();
-    ids_.shrink_to_fit();
-    cap_ = 0;
+    releaseSlots();
     count_ = 0;
   }
 
@@ -495,16 +532,20 @@ class FpTable {
         keep.emplace_back(fps_[i], ids_[i]);
       }
     }
-    fps_.clear();
-    fps_.shrink_to_fit();
-    ids_.clear();
-    ids_.shrink_to_fit();
-    cap_ = 0;
+    releaseSlots();
     count_ = 0;
     for (const auto& [fp, id] : keep) insert(fp, id);
   }
 
  private:
+  void releaseSlots() {
+    fps_.clear();
+    fps_.shrink_to_fit();
+    ids_.clear();
+    ids_.shrink_to_fit();
+    cap_ = 0;
+  }
+
   void place(std::uint64_t fp, std::uint32_t id) {
     const std::uint64_t mask = cap_ - 1;
     std::uint64_t i = fp & mask;
@@ -548,10 +589,13 @@ class CompressedGraph {
 
   std::uint32_t nodeCount() const { return configs_.count(); }
 
+  /// Decodes node `id`. The packed bytes go through a PackedConfig, which
+  /// holds them inline up to PackedConfig::kInlineBytes.
   Configuration config(std::uint32_t id) const {
-    std::vector<std::uint8_t> buf(configs_.width());
-    configs_.decode(id, buf.data());
-    return codec_->unpackBytes(buf.data());
+    PackedConfig buf;
+    std::uint8_t* bytes = buf.allocate(configs_.width());
+    configs_.decode(id, bytes);
+    return codec_->unpackBytes(bytes);
   }
 
   ConfigStore& configStore() { return configs_; }

@@ -1,6 +1,7 @@
 #include "analysis/explore.h"
 
-#include <deque>
+#include <algorithm>
+#include <ranges>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -16,16 +17,18 @@ namespace {
 
 /// Visited table keyed by the packed encoding: probes cost one precomputed
 /// hash load plus a memcmp instead of re-hashing a std::vector<StateId>.
+/// A new node's configuration is decoded from its key, so a successor is
+/// materialized only when the graph keeps it.
 class Interner {
  public:
   Interner(ConfigGraph& g, const PackedCodec& codec) : graph_(g), codec_(codec) {}
 
   /// Returns (id, isNew).
-  std::pair<std::uint32_t, bool> intern(const Configuration& c) {
+  std::pair<std::uint32_t, bool> intern(PackedConfig&& key) {
     const auto [it, inserted] = ids_.try_emplace(
-        codec_.pack(c), static_cast<std::uint32_t>(graph_.configs.size()));
+        std::move(key), static_cast<std::uint32_t>(graph_.configs.size()));
     if (inserted) {
-      graph_.configs.push_back(c);
+      graph_.configs.push_back(codec_.unpack(it->first));
       graph_.adj.emplace_back();
     }
     return {it->second, inserted};
@@ -101,6 +104,104 @@ std::uint64_t configGraphBytes(const ConfigGraph& g) {
   return bytes;
 }
 
+namespace {
+
+/// The serial explicit-storage loop, concrete or canonical: the same BFS as
+/// the compressed engine, interning into materialized configs/adj vectors.
+/// A new node's id is configs.size() at interning and pops take ids in
+/// interning order, so the frontier is the id range [head, configs.size()).
+ConfigGraph exploreSerialExplicit(const Protocol& proto,
+                                  const std::vector<Configuration>& initials,
+                                  const ExploreOptions& options,
+                                  bool canonical) {
+  const std::uint32_t n = initials.front().numMobile();
+  const std::uint32_t m = n + (proto.hasLeader() ? 1u : 0u);
+  ConfigGraph g;
+  g.numParticipants = m;
+  const PhaseScope phase(options.observer, options.exploreId, "explore");
+  const PackedCodec codec(canonical ? PackedCodec::Form::kCanonical
+                                    : PackedCodec::Form::kConcrete,
+                          proto, n);
+  detail::ExploreTracker tracker(options.observer, options.exploreId, g, codec,
+                                 n);
+  Interner interner(g, codec);
+  Configuration next;
+  Configuration next2;
+  for (const auto& c : initials) {
+    detail::assignConfig(next, c);
+    if (canonical) std::sort(next.mobile.begin(), next.mobile.end());
+    if (interner.intern(codec.pack(next)).second) tracker.recordInterned();
+  }
+
+  std::uint32_t head = 0;
+  const auto frontierSize = [&] { return g.configs.size() - head; };
+  std::vector<std::pair<PackedConfig, detail::EdgeMeta>> cands;
+  std::vector<std::uint32_t> targets;
+  while (head < g.configs.size()) {
+    tracker.checkpoint(frontierSize());
+    const bool overNodes = g.size() > options.maxNodes;
+    const bool overBytes =
+        options.maxBytes != 0 && tracker.totalBytes() > options.maxBytes;
+    if (overNodes || overBytes) {
+      g.truncated = true;
+      g.truncatedByBudget = overBytes && !overNodes;
+      tracker.recordTruncation(
+          options.maxNodes, options.maxBytes, g.truncatedByBudget,
+          std::views::iota(head, static_cast<std::uint32_t>(g.configs.size())));
+      break;
+    }
+    const std::uint32_t id = head++;
+    tracker.recordExpansion(frontierSize());
+
+    // Enumerate-then-intern: same candidate order as the fused loop (the
+    // enumerators never read graph state), sectioned so the tracker can
+    // report expand vs dedup throughput separately. Interning starts only
+    // after expansion, so `current` may reference configs directly.
+    {
+      const detail::SectionTimer timer(tracker,
+                                       detail::ExploreTracker::Section::kExpand);
+      const Configuration& current = g.configs[id];
+      cands.clear();
+      const auto keep = [&](const Configuration& succ,
+                            const detail::EdgeMeta& meta) {
+        cands.emplace_back(codec.pack(succ), meta);
+      };
+      if (canonical) {
+        detail::forEachCanonicalSuccessor(proto, current, n, next, next2, keep);
+      } else {
+        detail::forEachConcreteSuccessor(proto, current, m, options.topology,
+                                         next, next2, keep);
+      }
+    }
+    targets.clear();
+    {
+      const detail::SectionTimer timer(tracker,
+                                       detail::ExploreTracker::Section::kDedup);
+      for (auto& [key, meta] : cands) {
+        const auto [to, isNew] = interner.intern(std::move(key));
+        if (isNew) tracker.recordInterned();
+        tracker.recordEdge(!isNew);
+        targets.push_back(to);
+      }
+    }
+    {
+      const detail::SectionTimer timer(tracker,
+                                       detail::ExploreTracker::Section::kAppend);
+      for (std::size_t k = 0; k < cands.size(); ++k) {
+        const detail::EdgeMeta& meta = cands[k].second;
+        g.adj[id].push_back(Edge{targets[k], meta.label, meta.initiator,
+                                 meta.responder, meta.changed,
+                                 meta.changedMobile, meta.changedName});
+      }
+    }
+    tracker.recordNodeExpanded(g.adj[id].size());
+  }
+  tracker.finish(frontierSize());
+  return g;
+}
+
+}  // namespace
+
 ConfigGraph exploreConcrete(const Protocol& proto,
                             const std::vector<Configuration>& initials,
                             const ExploreOptions& options) {
@@ -120,84 +221,7 @@ ConfigGraph exploreConcrete(const Protocol& proto,
     return detail::exploreSerialCompressed(proto, initials, options,
                                            /*canonical=*/false);
   }
-
-  ConfigGraph g;
-  g.numParticipants = m;
-  const PhaseScope phase(options.observer, options.exploreId, "explore");
-  const PackedCodec codec(PackedCodec::Form::kConcrete, proto, n);
-  detail::ExploreTracker tracker(options.observer, options.exploreId, g, codec,
-                                 n);
-  Interner interner(g, codec);
-  std::deque<std::uint32_t> frontier;
-  for (const auto& c : initials) {
-    const auto [id, isNew] = interner.intern(c);
-    if (isNew) {
-      frontier.push_back(id);
-      tracker.recordInterned();
-    }
-  }
-
-  std::vector<std::pair<Configuration, detail::EdgeMeta>> cands;
-  std::vector<std::uint32_t> targets;
-  while (!frontier.empty()) {
-    tracker.checkpoint(frontier.size());
-    const bool overNodes = g.size() > options.maxNodes;
-    const bool overBytes =
-        options.maxBytes != 0 && tracker.totalBytes() > options.maxBytes;
-    if (overNodes || overBytes) {
-      g.truncated = true;
-      g.truncatedByBudget = overBytes && !overNodes;
-      tracker.recordTruncation(options.maxNodes, options.maxBytes,
-                               g.truncatedByBudget, frontier);
-      break;
-    }
-    const std::uint32_t id = frontier.front();
-    frontier.pop_front();
-    tracker.recordExpansion(frontier.size());
-    // Copy: interning may reallocate configs while we expand.
-    const Configuration current = g.configs[id];
-
-    // Enumerate-then-intern: same candidate order as the fused loop (the
-    // enumerators never read graph state), sectioned so the tracker can
-    // report expand vs dedup throughput separately.
-    {
-      const detail::SectionTimer timer(tracker,
-                                       detail::ExploreTracker::Section::kExpand);
-      cands.clear();
-      detail::forEachConcreteSuccessor(
-          proto, current, m, options.topology,
-          [&](Configuration&& next, const detail::EdgeMeta& meta) {
-            cands.emplace_back(std::move(next), meta);
-          });
-    }
-    targets.clear();
-    {
-      const detail::SectionTimer timer(tracker,
-                                       detail::ExploreTracker::Section::kDedup);
-      for (auto& [next, meta] : cands) {
-        const auto [to, isNew] = interner.intern(next);
-        if (isNew) {
-          frontier.push_back(to);
-          tracker.recordInterned();
-        }
-        tracker.recordEdge(!isNew);
-        targets.push_back(to);
-      }
-    }
-    {
-      const detail::SectionTimer timer(tracker,
-                                       detail::ExploreTracker::Section::kAppend);
-      for (std::size_t k = 0; k < cands.size(); ++k) {
-        const detail::EdgeMeta& meta = cands[k].second;
-        g.adj[id].push_back(Edge{targets[k], meta.label, meta.initiator,
-                                 meta.responder, meta.changed,
-                                 meta.changedMobile, meta.changedName});
-      }
-    }
-    tracker.recordNodeExpanded(g.adj[id].size());
-  }
-  tracker.finish(frontier.size());
-  return g;
+  return exploreSerialExplicit(proto, initials, options, /*canonical=*/false);
 }
 
 ConfigGraph exploreCanonical(const Protocol& proto,
@@ -208,7 +232,6 @@ ConfigGraph exploreCanonical(const Protocol& proto,
     throw std::invalid_argument(
         "exploreCanonical: topologies require the concrete graph");
   }
-  const std::uint32_t n = initials.front().numMobile();
   if (detail::resolveThreads(options.threads) > 1) {
     return detail::exploreParallelImpl(proto, initials, options,
                                        /*canonical=*/true);
@@ -217,80 +240,7 @@ ConfigGraph exploreCanonical(const Protocol& proto,
     return detail::exploreSerialCompressed(proto, initials, options,
                                            /*canonical=*/true);
   }
-
-  ConfigGraph g;
-  g.numParticipants = n + (proto.hasLeader() ? 1u : 0u);
-  const PhaseScope phase(options.observer, options.exploreId, "explore");
-  const PackedCodec codec(PackedCodec::Form::kCanonical, proto, n);
-  detail::ExploreTracker tracker(options.observer, options.exploreId, g, codec,
-                                 n);
-  Interner interner(g, codec);
-  std::deque<std::uint32_t> frontier;
-  for (const auto& c : initials) {
-    const auto [id, isNew] = interner.intern(c.canonicalized());
-    if (isNew) {
-      frontier.push_back(id);
-      tracker.recordInterned();
-    }
-  }
-
-  std::vector<std::pair<Configuration, detail::EdgeMeta>> cands;
-  std::vector<std::uint32_t> targets;
-  while (!frontier.empty()) {
-    tracker.checkpoint(frontier.size());
-    const bool overNodes = g.size() > options.maxNodes;
-    const bool overBytes =
-        options.maxBytes != 0 && tracker.totalBytes() > options.maxBytes;
-    if (overNodes || overBytes) {
-      g.truncated = true;
-      g.truncatedByBudget = overBytes && !overNodes;
-      tracker.recordTruncation(options.maxNodes, options.maxBytes,
-                               g.truncatedByBudget, frontier);
-      break;
-    }
-    const std::uint32_t id = frontier.front();
-    frontier.pop_front();
-    tracker.recordExpansion(frontier.size());
-    const Configuration current = g.configs[id];
-
-    {
-      const detail::SectionTimer timer(tracker,
-                                       detail::ExploreTracker::Section::kExpand);
-      cands.clear();
-      detail::forEachCanonicalSuccessor(
-          proto, current, n,
-          [&](Configuration&& next, const detail::EdgeMeta& meta) {
-            cands.emplace_back(std::move(next), meta);
-          });
-    }
-    targets.clear();
-    {
-      const detail::SectionTimer timer(tracker,
-                                       detail::ExploreTracker::Section::kDedup);
-      for (auto& [next, meta] : cands) {
-        const auto [to, isNew] = interner.intern(next);
-        if (isNew) {
-          frontier.push_back(to);
-          tracker.recordInterned();
-        }
-        tracker.recordEdge(!isNew);
-        targets.push_back(to);
-      }
-    }
-    {
-      const detail::SectionTimer timer(tracker,
-                                       detail::ExploreTracker::Section::kAppend);
-      for (std::size_t k = 0; k < cands.size(); ++k) {
-        const detail::EdgeMeta& meta = cands[k].second;
-        g.adj[id].push_back(Edge{targets[k], meta.label, meta.initiator,
-                                 meta.responder, meta.changed,
-                                 meta.changedMobile, meta.changedName});
-      }
-    }
-    tracker.recordNodeExpanded(g.adj[id].size());
-  }
-  tracker.finish(frontier.size());
-  return g;
+  return exploreSerialExplicit(proto, initials, options, /*canonical=*/true);
 }
 
 ConfigGraph exploreConcrete(const Protocol& proto,

@@ -96,6 +96,26 @@ struct ConfigGraph {
     return compressed() ? packed.config(id) : configs[id];
   }
 
+  /// Decodes nodes one at a time into one reused configuration. On a
+  /// compressed graph ascending ids (an SCC's members) cost one delta each;
+  /// on an explicit graph it returns the stored configuration.
+  class Reader {
+   public:
+    explicit Reader(const ConfigGraph& g) : g_(g) {
+      if (g.compressed()) cursor_.reset(g.packed.configStore());
+    }
+    const Configuration& at(std::uint32_t id) {
+      if (!g_.compressed()) return g_.configs[id];
+      g_.packed.codec().unpackInto(cursor_.at(id), current_);
+      return current_;
+    }
+
+   private:
+    const ConfigGraph& g_;
+    detail::ConfigStore::Cursor cursor_;
+    Configuration current_;
+  };
+
   std::size_t edgeCount(std::uint32_t id) const {
     return compressed() ? packed.edgeStore().edgeCount(id) : adj[id].size();
   }

@@ -1,15 +1,26 @@
-// Internal machinery shared by the serial (explore.cpp) and parallel
-// (parallel_explore.cpp) exploration engines. Not part of the public API.
+// Internal machinery shared by the serial (explore.cpp,
+// compressed_explore.cpp) and parallel (parallel_explore.cpp) exploration
+// engines. Not part of the public API.
 //
-// The two engines must produce bit-identical ConfigGraphs, so everything
-// that defines the output — successor enumeration order, edge metadata,
+// The engines must produce bit-identical ConfigGraphs, so everything that
+// defines the output — successor enumeration order, edge metadata,
 // truncation semantics — lives here exactly once. The enumerators replicate
 // the historical serial loops verbatim: orientation 1 before orientation 2,
 // orientation 2 suppressed for leader pairs and for coinciding outcomes,
 // canonical null edges omitted, canonical duplicate (state_i, state_j)
 // combinations skipped via the sortedness of the canonical form.
+//
+// Enumerator contract: the caller owns two successor buffers (`next`,
+// `next2`) and passes the same pair to every call. The enumerators refill
+// them with assign() and apply each interaction in place, so once the
+// buffers have grown to the population size enumeration allocates nothing.
+// Each successor reaches the callback as a `const Configuration&` that is
+// valid only during that call — it is one of the two buffers and is
+// overwritten by the next successor. A caller that keeps a successor copies
+// (or packs) it inside the callback.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 #include <utility>
@@ -42,13 +53,22 @@ inline bool namesDiffer(const Protocol& proto, const std::vector<StateId>& befor
   return false;
 }
 
+/// Refills `dst` with `src`, reusing dst's mobile capacity.
+inline void assignConfig(Configuration& dst, const Configuration& src) {
+  dst.mobile.assign(src.mobile.begin(), src.mobile.end());
+  dst.leader = src.leader;
+}
+
 /// Enumerates the concrete successors of `current` in the canonical serial
-/// order, calling fn(Configuration&&, const EdgeMeta&) once per edge
+/// order, calling fn(const Configuration&, const EdgeMeta&) once per edge
 /// (including null self-loops — weak-fairness coverage needs them).
+/// `next`/`next2` are the caller's reusable buffers (contract above).
 template <class Fn>
 void forEachConcreteSuccessor(const Protocol& proto, const Configuration& current,
                               std::uint32_t numParticipants,
-                              const InteractionGraph* topology, Fn&& fn) {
+                              const InteractionGraph* topology,
+                              Configuration& next, Configuration& next2,
+                              Fn&& fn) {
   const std::uint32_t m = numParticipants;
   const bool hasLeader = proto.hasLeader();
   for (std::uint32_t i = 0; i < m; ++i) {
@@ -56,7 +76,7 @@ void forEachConcreteSuccessor(const Protocol& proto, const Configuration& curren
       if (topology != nullptr && !topology->hasEdge(i, j)) continue;
       const PairLabel label = pairLabel(i, j, m);
       // Orientation 1: i initiates.
-      Configuration next = current;
+      assignConfig(next, current);
       applyInteraction(proto, next, Interaction{i, j});
       const bool changed1 = !(next == current);
       const bool mobile1 = next.mobile != current.mobile;
@@ -69,18 +89,18 @@ void forEachConcreteSuccessor(const Protocol& proto, const Configuration& curren
       // mobile-mobile rules; leader interactions are orientation-free).
       const bool involvesLeader = hasLeader && j == m - 1;
       if (involvesLeader) {
-        fn(std::move(next), meta1);
+        fn(static_cast<const Configuration&>(next), meta1);
         continue;
       }
-      Configuration next2 = current;
+      assignConfig(next2, current);
       applyInteraction(proto, next2, Interaction{j, i});
       const bool distinct = !(next2 == next);
-      fn(std::move(next), meta1);
+      fn(static_cast<const Configuration&>(next), meta1);
       if (distinct) {
         const bool mobile2 = next2.mobile != current.mobile;
         const bool name2 =
             mobile2 && namesDiffer(proto, current.mobile, next2.mobile);
-        fn(std::move(next2),
+        fn(static_cast<const Configuration&>(next2),
            EdgeMeta{label, static_cast<std::uint16_t>(j),
                     static_cast<std::uint16_t>(i), !(next2 == current), mobile2,
                     name2});
@@ -91,19 +111,23 @@ void forEachConcreteSuccessor(const Protocol& proto, const Configuration& curren
 
 /// Enumerates the canonical successors of the canonical configuration
 /// `current` in the canonical serial order. Null transitions are omitted;
-/// emitted configurations are already canonicalized.
+/// emitted configurations are already canonicalized (sorted in place in the
+/// caller's buffer). `next`/`next2` as in forEachConcreteSuccessor.
 template <class Fn>
 void forEachCanonicalSuccessor(const Protocol& proto, const Configuration& current,
-                               std::uint32_t numMobile, Fn&& fn) {
+                               std::uint32_t numMobile, Configuration& next,
+                               Configuration& next2, Fn&& fn) {
   const std::uint32_t n = numMobile;
-  auto emit = [&](Configuration next, bool changedMobile) {
+  // `succ` holds `current` with one interaction applied.
+  auto emit = [&](Configuration& succ) {
+    const bool changedMobile = succ.mobile != current.mobile;
     const bool changedName =
-        changedMobile && namesDiffer(proto, current.mobile, next.mobile);
-    next = next.canonicalized();
-    const bool changed = changedMobile || !(next == current) ||
-                         next.leader != current.leader;
+        changedMobile && namesDiffer(proto, current.mobile, succ.mobile);
+    std::sort(succ.mobile.begin(), succ.mobile.end());
+    const bool changed = changedMobile || !(succ == current) ||
+                         succ.leader != current.leader;
     if (!changed) return;  // canonical graphs omit null edges
-    fn(std::move(next),
+    fn(static_cast<const Configuration&>(succ),
        EdgeMeta{0xffff, 0, 0, true, changedMobile, changedName});
   };
 
@@ -117,23 +141,20 @@ void forEachCanonicalSuccessor(const Protocol& proto, const Configuration& curre
       // Skip repeats of the same (state_i, state_j) combination.
       if (i > 0 && current.mobile[i - 1] == current.mobile[i]) continue;
       if (j > i + 1 && current.mobile[j - 1] == current.mobile[j]) continue;
-      Configuration next = current;
+      assignConfig(next, current);
       applyInteraction(proto, next, Interaction{i, j});
-      const bool mobile1 = next.mobile != current.mobile;
-      emit(std::move(next), mobile1);
-      Configuration next2 = current;
+      emit(next);
+      assignConfig(next2, current);
       applyInteraction(proto, next2, Interaction{j, i});
-      const bool mobile2 = next2.mobile != current.mobile;
-      emit(std::move(next2), mobile2);
+      emit(next2);
     }
   }
   if (proto.hasLeader()) {
     for (std::uint32_t i = 0; i < n; ++i) {
       if (i > 0 && current.mobile[i - 1] == current.mobile[i]) continue;
-      Configuration next = current;
+      assignConfig(next, current);
       applyInteraction(proto, next, Interaction{n, i});
-      const bool mobileChanged = next.mobile != current.mobile;
-      emit(std::move(next), mobileChanged);
+      emit(next);
     }
   }
 }

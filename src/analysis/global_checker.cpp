@@ -39,11 +39,12 @@ GlobalVerdict checkGlobalFairness(const Protocol& proto, const Problem& problem,
   }
   const PhaseScope verdictPhase(observer, exploreId, "verdict");
   verdict.solves = true;
+  ConfigGraph::Reader configs(graph);
   for (std::uint32_t s = 0; s < scc.numSccs; ++s) {
     if (!scc.bottom[s]) continue;
     ++verdict.numBottomSccs;
     for (const std::uint32_t node : scc.members[s]) {
-      const Configuration c = graph.config(node);
+      const Configuration& c = configs.at(node);
       if (!problem.holds(c)) {
         verdict.solves = false;
         verdict.witness = c;
@@ -100,11 +101,12 @@ GlobalVerdict checkGlobalFairnessConcrete(
   }
   const PhaseScope verdictPhase(observer, exploreId, "verdict");
   verdict.solves = true;
+  ConfigGraph::Reader configs(graph);
   for (std::uint32_t s = 0; s < scc.numSccs; ++s) {
     if (!scc.bottom[s]) continue;
     ++verdict.numBottomSccs;
     for (const std::uint32_t node : scc.members[s]) {
-      const Configuration c = graph.config(node);
+      const Configuration& c = configs.at(node);
       if (!problem.holds(c)) {
         verdict.solves = false;
         verdict.witness = c;

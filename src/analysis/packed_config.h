@@ -183,6 +183,15 @@ class PackedCodec {
   /// compressed config store, no PackedConfig wrapper).
   Configuration unpackBytes(const std::uint8_t* in) const {
     Configuration c;
+    unpackInto(in, c);
+    return c;
+  }
+
+  /// unpackBytes into an existing configuration, reusing its mobile
+  /// vector's capacity: the hot loops decode every expanded node into one
+  /// per-thread buffer instead of allocating a fresh configuration.
+  void unpackInto(const std::uint8_t* in, Configuration& c) const {
+    c.mobile.clear();
     c.mobile.reserve(numMobile_);
     if (form_ == Form::kConcrete) {
       for (std::uint32_t i = 0; i < numMobile_; ++i) {
@@ -197,13 +206,13 @@ class PackedCodec {
         for (std::uint32_t k = 0; k < count; ++k) c.mobile.push_back(s);
       }
     }
+    c.leader.reset();
     if (hasLeader_) {
       const bool present = *in++ != 0;
       std::uint64_t v = 0;
       for (int b = 0; b < 8; ++b) v |= std::uint64_t{in[b]} << (8 * b);
       if (present) c.leader = v;
     }
-    return c;
   }
 
  private:

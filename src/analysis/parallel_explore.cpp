@@ -1,7 +1,7 @@
 // Level-synchronous parallel BFS over the configuration graph, bit-identical
 // to the serial explorers for any thread count (DESIGN.md, decision 14).
 //
-// Why bit-identity is achievable at all: the serial loop pops a FIFO deque
+// Why bit-identity is achievable at all: the serial loop pops a FIFO queue
 // and assigns ids at intern time, so its expansion order IS ascending node-id
 // order and the global candidate stream is ordered by (expanding position p,
 // per-node enumeration index k). Any scheme that reconstitutes that stream
@@ -24,7 +24,7 @@
 //      exactly: the cut position p* is the first level position at which the
 //      simulated node count exceeds the cap; entries born at p >= p* are
 //      discarded (a suffix of every shard's pending list) and the remaining
-//      frontier is reconstructed as the serial deque would have held it.
+//      frontier is reconstructed as the serial FIFO would have held it.
 //   4. edges (parallel)     — adjacency lists of the expanded (p < p*) level
 //      nodes are filled independently (distinct vectors, race-free),
 //      resolving targets through the now-final shard slots.
@@ -316,22 +316,25 @@ ConfigGraph exploreParallelCompressed(const Protocol& proto,
         auto& myBuckets = buckets[w];
         for (auto& b : myBuckets) b.clear();
         ConfigStore::Cursor cursor(store);
+        Configuration current;
+        Configuration next;
+        Configuration next2;
         for (std::uint32_t p = lo; p < hi; ++p) {
           auto& cands = candBuf[p];
           cands.clear();
-          const Configuration current =
-              codec.unpackBytes(cursor.at(frontier[p]));
-          auto sink = [&](Configuration&& next, const EdgeMeta& meta) {
+          codec.unpackInto(cursor.at(frontier[p]), current);
+          auto sink = [&](const Configuration& succ, const EdgeMeta& meta) {
             Cand c;
-            c.key = codec.pack(next);
+            c.key = codec.pack(succ);
             c.shard = static_cast<std::uint8_t>(c.key.hash() % kShards);
             c.meta = meta;
             cands.push_back(std::move(c));
           };
           if (canonical) {
-            forEachCanonicalSuccessor(proto, current, n, sink);
+            forEachCanonicalSuccessor(proto, current, n, next, next2, sink);
           } else {
-            forEachConcreteSuccessor(proto, current, m, options.topology, sink);
+            forEachConcreteSuccessor(proto, current, m, options.topology, next,
+                                     next2, sink);
           }
           for (std::uint32_t k = 0; k < cands.size(); ++k) {
             myBuckets[cands[k].shard].push_back(PK{p, k});
@@ -657,21 +660,24 @@ ConfigGraph exploreParallelImpl(const Protocol& proto,
           static_cast<std::uint32_t>(std::uint64_t{L} * (w + 1) / K);
       auto& myBuckets = buckets[w];
       for (auto& b : myBuckets) b.clear();
+      Configuration next;
+      Configuration next2;
       for (std::uint32_t p = lo; p < hi; ++p) {
         auto& cands = candBuf[p];
         cands.clear();
         const Configuration& current = g.configs[frontier[p]];
-        auto sink = [&](Configuration&& next, const EdgeMeta& meta) {
+        auto sink = [&](const Configuration& succ, const EdgeMeta& meta) {
           Cand c;
-          c.key = codec.pack(next);
+          c.key = codec.pack(succ);
           c.shard = static_cast<std::uint8_t>(c.key.hash() % kShards);
           c.meta = meta;
           cands.push_back(std::move(c));
         };
         if (canonical) {
-          forEachCanonicalSuccessor(proto, current, n, sink);
+          forEachCanonicalSuccessor(proto, current, n, next, next2, sink);
         } else {
-          forEachConcreteSuccessor(proto, current, m, options.topology, sink);
+          forEachConcreteSuccessor(proto, current, m, options.topology, next,
+                                   next2, sink);
         }
         for (std::uint32_t k = 0; k < cands.size(); ++k) {
           myBuckets[cands[k].shard].push_back(PK{p, k});
@@ -814,7 +820,7 @@ ConfigGraph exploreParallelImpl(const Protocol& proto,
     if (cut < L) {
       g.truncated = true;
       g.truncatedByBudget = cutByBudget;
-      // The serial deque at the cap: the unexpanded level tail, then the new
+      // The serial FIFO at the cap: the unexpanded level tail, then the new
       // nodes discovered by the expanded prefix, in discovery (= id) order.
       std::vector<std::uint32_t> rest(frontier.begin() + cut, frontier.end());
       rest.insert(rest.end(), nextFrontier.begin(), nextFrontier.end());

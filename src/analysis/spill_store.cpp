@@ -6,10 +6,12 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
+#include <string>
 
 #include "analysis/compressed_graph.h"
 #include "obs/memory.h"
@@ -42,11 +44,20 @@ const std::array<std::uint32_t, 256>& crcTable() {
   return table;
 }
 
+// pwrite/pread may be interrupted by a signal before transferring anything
+// (EINTR); that is retried. Any other failure, or a call that transfers 0
+// bytes, is an error: a 0-byte pread means the run file is shorter than its
+// header says.
 void writeAll(int fd, const void* bytes, std::uint64_t n, std::uint64_t at) {
   const auto* p = static_cast<const std::uint8_t*>(bytes);
   while (n > 0) {
     const ssize_t w = ::pwrite(fd, p, n, static_cast<off_t>(at));
-    if (w <= 0) throw std::runtime_error("spill run write failed");
+    if (w < 0 && errno == EINTR) continue;
+    if (w < 0) {
+      throw std::runtime_error(std::string("spill run write failed: ") +
+                               std::strerror(errno));
+    }
+    if (w == 0) throw std::runtime_error("spill run write made no progress");
     p += w;
     at += static_cast<std::uint64_t>(w);
     n -= static_cast<std::uint64_t>(w);
@@ -57,7 +68,12 @@ void readAll(int fd, void* bytes, std::uint64_t n, std::uint64_t at) {
   auto* p = static_cast<std::uint8_t*>(bytes);
   while (n > 0) {
     const ssize_t r = ::pread(fd, p, n, static_cast<off_t>(at));
-    if (r <= 0) throw std::runtime_error("spill run read failed");
+    if (r < 0 && errno == EINTR) continue;
+    if (r < 0) {
+      throw std::runtime_error(std::string("spill run read failed: ") +
+                               std::strerror(errno));
+    }
+    if (r == 0) throw std::runtime_error("spill run short read");
     p += r;
     at += static_cast<std::uint64_t>(r);
     n -= static_cast<std::uint64_t>(r);

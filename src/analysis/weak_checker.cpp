@@ -48,6 +48,7 @@ WeakVerdict checkWeakFairness(const Protocol& proto, const Problem& problem,
                           : static_cast<std::uint32_t>(topology->numEdges());
 
   std::vector<std::uint8_t> labelSeen(pairs);
+  ConfigGraph::Reader configs(graph);
   for (std::uint32_t s = 0; s < scc.numSccs; ++s) {
     // Coverage: which pair labels appear on S-internal edges, and whether
     // any internal edge changes mobile state.
@@ -69,10 +70,10 @@ WeakVerdict checkWeakFairness(const Protocol& proto, const Problem& problem,
     bool predicateFails = false;
     std::optional<Configuration> failWitness;
     for (const std::uint32_t node : scc.members[s]) {
-      Configuration c = graph.config(node);
+      const Configuration& c = configs.at(node);
       if (!problem.holds(c)) {
         predicateFails = true;
-        failWitness = std::move(c);
+        failWitness = c;
         break;
       }
     }

@@ -78,14 +78,17 @@ std::optional<ResourceSample> sampleProcessResources(std::int64_t pid) {
   sample.utimeMillis = utimeTicks * 1000 / ticks;
   sample.stimeMillis = stimeTicks * 1000 / ticks;
 
+  // The process can exit between the stat read above and this one; its
+  // statm then reads RSS 0 (or is gone). A live process always has resident
+  // pages, so such a sample is dropped like a zombie's.
   std::string statm;
-  if (readWhole(base + "/statm", statm)) {
+  if (!readWhole(base + "/statm", statm)) return std::nullopt;
+  {
     std::istringstream mem(statm);
     std::uint64_t vsizePages = 0, rssPages = 0;
-    if (mem >> vsizePages >> rssPages) {
-      sample.vsizeBytes = vsizePages * pageSizeBytes();
-      sample.rssBytes = rssPages * pageSizeBytes();
-    }
+    if (!(mem >> vsizePages >> rssPages) || rssPages == 0) return std::nullopt;
+    sample.vsizeBytes = vsizePages * pageSizeBytes();
+    sample.rssBytes = rssPages * pageSizeBytes();
   }
 
   std::string io;

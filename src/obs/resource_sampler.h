@@ -46,8 +46,9 @@ struct ResourceSample {
 
 /// Reads /proc/<pid>/{stat,statm,io}. nullopt when the process does not
 /// exist, is a zombie (exited, not yet reaped — its memory is reclaimed and
-/// every gauge would read 0), or /proc is unavailable (the caller treats all
-/// of these as "shard already exited", never as an error).
+/// every gauge would read 0), exits between the stat and statm reads (statm
+/// then reads RSS 0), or /proc is unavailable (the caller treats all of
+/// these as "shard already exited", never as an error).
 std::optional<ResourceSample> sampleProcessResources(std::int64_t pid);
 
 class ResourceSampler {

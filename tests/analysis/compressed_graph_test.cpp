@@ -398,6 +398,31 @@ TEST(SpillRunSet, CompactRejectsCorruptedRun) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(SpillRunSet, TruncatedRunIsAShortRead) {
+  const auto dir = freshSpillDir("short");
+  SpillRunSet runs(dir.string());
+  std::vector<SpillEntry> entries;
+  for (std::uint32_t i = 0; i < 50; ++i) entries.push_back(SpillEntry{i, i});
+  runs.writeRun(entries);
+  // Cut the payload after 10 records behind the reader's back: a probe for
+  // a later record reaches end of file, which is an error, not a miss.
+  bool truncated = false;
+  for (const auto& f : std::filesystem::directory_iterator(dir)) {
+    std::filesystem::resize_file(f.path(), 24 + 10 * 12);
+    truncated = true;
+  }
+  ASSERT_TRUE(truncated);
+  std::vector<std::uint32_t> out;
+  try {
+    runs.candidates(40, out);
+    ADD_FAILURE() << "probe past the end of a truncated run did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("short read"), std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(SpillPolicy, FlushScheduleIsAPureFunctionOfInternedCount) {
   SpillPolicy a(4096), b(4096);
   std::vector<std::uint32_t> flushPointsA, flushPointsB;

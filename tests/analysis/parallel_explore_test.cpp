@@ -120,7 +120,7 @@ TEST(ParallelExplore, ThreadsZeroMeansHardwareConcurrency) {
 TEST(ParallelExplore, TopologyRestrictedConcreteBitIdentical) {
   const auto proto = makeProtocol("asymmetric", 3);
   const auto initials = allUniformInitials(*proto, 4);
-  for (const InteractionGraph topo :
+  for (const InteractionGraph& topo :
        {InteractionGraph::ring(4), InteractionGraph::line(4),
         InteractionGraph::star(4, 0)}) {
     ExploreOptions serialOpt = withThreads(1);
