@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <exception>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
 
@@ -42,16 +44,7 @@ std::uint64_t ipow(std::uint64_t base, std::uint64_t exp) {
   return r;
 }
 
-}  // namespace
-
-std::uint64_t symmetricProtocolCount(StateId q) {
-  // Q choices for each diagonal rule (s,s)->(d,d); Q^2 choices for each
-  // unordered off-diagonal pair's rule (the mirrored rule is implied).
-  const std::uint64_t offDiagPairs = static_cast<std::uint64_t>(q) * (q - 1) / 2;
-  return ipow(q, q) * ipow(static_cast<std::uint64_t>(q) * q, offDiagPairs);
-}
-
-TabularProtocol decodeSymmetricProtocol(StateId q, std::uint64_t index) {
+std::vector<MobilePair> decodeSymmetricTable(StateId q, std::uint64_t index) {
   std::vector<MobilePair> table(static_cast<std::size_t>(q) * q);
   // Diagonal: digit base q per state.
   for (StateId s = 0; s < q; ++s) {
@@ -71,15 +64,28 @@ TabularProtocol decodeSymmetricProtocol(StateId q, std::uint64_t index) {
       table[b * q + a] = MobilePair{pb, pa};  // symmetry
     }
   }
-  return TabularProtocol(q, std::move(table), /*symmetric=*/true);
+  return table;
 }
 
-std::uint64_t allProtocolCount(StateId q) {
-  const std::uint64_t cells = static_cast<std::uint64_t>(q) * q;
-  return ipow(cells, cells);
+/// Inverse of decodeSymmetricTable: the same digits, most significant first.
+std::uint64_t encodeSymmetricTable(StateId q,
+                                   const std::vector<MobilePair>& table) {
+  const std::uint64_t base = static_cast<std::uint64_t>(q) * q;
+  std::uint64_t index = 0;
+  for (StateId a = q; a-- > 0;) {
+    for (StateId b = q; b-- > a + 1;) {
+      const MobilePair& p = table[a * q + b];
+      index = index * base + static_cast<std::uint64_t>(p.initiator) * q +
+              p.responder;
+    }
+  }
+  for (StateId s = q; s-- > 0;) {
+    index = index * q + table[s * q + s].initiator;
+  }
+  return index;
 }
 
-TabularProtocol decodeAnyProtocol(StateId q, std::uint64_t index) {
+std::vector<MobilePair> decodeAnyTable(StateId q, std::uint64_t index) {
   const std::uint64_t base = static_cast<std::uint64_t>(q) * q;
   std::vector<MobilePair> table(static_cast<std::size_t>(q) * q);
   for (auto& cell : table) {
@@ -88,7 +94,82 @@ TabularProtocol decodeAnyProtocol(StateId q, std::uint64_t index) {
     cell = MobilePair{static_cast<StateId>(digit / q),
                       static_cast<StateId>(digit % q)};
   }
-  return TabularProtocol(q, std::move(table), /*symmetric=*/false);
+  return table;
+}
+
+/// Inverse of decodeAnyTable.
+std::uint64_t encodeAnyTable(StateId q, const std::vector<MobilePair>& table) {
+  const std::uint64_t base = static_cast<std::uint64_t>(q) * q;
+  std::uint64_t index = 0;
+  for (auto cell = table.rbegin(); cell != table.rend(); ++cell) {
+    index = index * base + static_cast<std::uint64_t>(cell->initiator) * q +
+            cell->responder;
+  }
+  return index;
+}
+
+}  // namespace
+
+std::uint64_t symmetricProtocolCount(StateId q) {
+  // Q choices for each diagonal rule (s,s)->(d,d); Q^2 choices for each
+  // unordered off-diagonal pair's rule (the mirrored rule is implied).
+  const std::uint64_t offDiagPairs = static_cast<std::uint64_t>(q) * (q - 1) / 2;
+  return ipow(q, q) * ipow(static_cast<std::uint64_t>(q) * q, offDiagPairs);
+}
+
+TabularProtocol decodeSymmetricProtocol(StateId q, std::uint64_t index) {
+  return TabularProtocol(q, decodeSymmetricTable(q, index),
+                         /*symmetric=*/true);
+}
+
+std::uint64_t allProtocolCount(StateId q) {
+  const std::uint64_t cells = static_cast<std::uint64_t>(q) * q;
+  return ipow(cells, cells);
+}
+
+TabularProtocol decodeAnyProtocol(StateId q, std::uint64_t index) {
+  return TabularProtocol(q, decodeAnyTable(q, index), /*symmetric=*/false);
+}
+
+RelabelingGroup::RelabelingGroup(StateId q, bool symmetricSpace,
+                                 bool trivial)
+    : q_(q), symmetricSpace_(symmetricSpace) {
+  if (trivial) return;
+  std::vector<StateId> perm(q);
+  std::iota(perm.begin(), perm.end(), StateId{0});
+  // Every non-identity permutation (the identity maps idx to itself).
+  while (std::next_permutation(perm.begin(), perm.end())) {
+    perms_.push_back(perm);
+  }
+}
+
+bool RelabelingGroup::canonicalOrbit(
+    std::uint64_t idx, std::vector<std::uint64_t>& members) const {
+  members.assign(1, idx);
+  if (perms_.empty()) return true;
+  const std::vector<MobilePair> table = symmetricSpace_
+                                            ? decodeSymmetricTable(q_, idx)
+                                            : decodeAnyTable(q_, idx);
+  std::vector<MobilePair> relabeled(table.size());
+  for (const std::vector<StateId>& perm : perms_) {
+    // delta'(perm a, perm b) = perm(delta(a, b)): the same protocol with
+    // state s renamed perm[s]. A symmetric table stays symmetric.
+    for (StateId a = 0; a < q_; ++a) {
+      for (StateId b = 0; b < q_; ++b) {
+        const MobilePair& out = table[a * q_ + b];
+        relabeled[perm[a] * q_ + perm[b]] =
+            MobilePair{perm[out.initiator], perm[out.responder]};
+      }
+    }
+    const std::uint64_t image = symmetricSpace_
+                                    ? encodeSymmetricTable(q_, relabeled)
+                                    : encodeAnyTable(q_, relabeled);
+    if (image < idx) return false;
+    members.push_back(image);
+  }
+  std::sort(members.begin(), members.end());
+  members.erase(std::unique(members.begin(), members.end()), members.end());
+  return true;
 }
 
 namespace {
@@ -96,21 +177,21 @@ namespace {
 /// Tri-state per-candidate verdict: truncated explorations decide nothing.
 enum class CandidateVerdict { kSolves, kFails, kUnknown };
 
-/// Decides one candidate protocol. `nextExploreId` mints the unique id for
-/// each inner checker invocation (a plain counter serially, an atomic one in
-/// the parallel dispatch).
+/// Decides one candidate protocol. Its inner checker invocations get the
+/// explore ids firstExploreId + slot, slot being the uniform initial state
+/// (always 0 for the single self-stabilizing exploration).
 CandidateVerdict evaluateCandidate(
     StateId q, std::uint32_t n, Fairness fairness, bool symmetricSpace,
     bool selfStabilizing,
     const std::function<Problem(const Protocol&)>& problemFor,
     std::uint64_t idx, const SearchOptions& options,
-    ExploreObserver* observer,
-    const std::function<std::uint64_t()>& nextExploreId) {
+    ExploreObserver* observer, std::uint64_t firstExploreId) {
   const TabularProtocol proto = symmetricSpace ? decodeSymmetricProtocol(q, idx)
                                                : decodeAnyProtocol(q, idx);
   const Problem problem = problemFor(proto);
 
-  auto solvesFrom = [&](const std::vector<Configuration>& initials) {
+  auto solvesFrom = [&](const std::vector<Configuration>& initials,
+                        StateId slot) {
     ExploreOptions exploreOptions;
     exploreOptions.maxNodes = options.maxNodes;
     exploreOptions.maxBytes = options.maxBytes;
@@ -118,7 +199,7 @@ CandidateVerdict evaluateCandidate(
     exploreOptions.spillBytes = options.spillBytes;
     exploreOptions.spillDir = options.spillDir;
     exploreOptions.observer = observer;
-    exploreOptions.exploreId = nextExploreId();
+    exploreOptions.exploreId = firstExploreId + slot;
     if (fairness == Fairness::kGlobal) {
       const GlobalVerdict v =
           checkGlobalFairness(proto, problem, initials, exploreOptions);
@@ -135,7 +216,8 @@ CandidateVerdict evaluateCandidate(
   if (selfStabilizing) {
     verdict = solvesFrom(fairness == Fairness::kGlobal
                              ? allCanonicalConfigurations(proto, n)
-                             : allConcreteConfigurations(proto, n));
+                             : allConcreteConfigurations(proto, n),
+                         0);
   } else {
     // The designer may pick any single uniform initialization. Any
     // truncated initialization leaves the candidate unknown unless a later
@@ -143,7 +225,7 @@ CandidateVerdict evaluateCandidate(
     for (StateId s = 0; s < q && verdict != CandidateVerdict::kSolves; ++s) {
       Configuration c;
       c.mobile.assign(n, s);
-      const CandidateVerdict v = solvesFrom({c});
+      const CandidateVerdict v = solvesFrom({c}, s);
       if (v == CandidateVerdict::kSolves ||
           (v == CandidateVerdict::kUnknown &&
            verdict == CandidateVerdict::kFails)) {
@@ -154,87 +236,50 @@ CandidateVerdict evaluateCandidate(
   return verdict;
 }
 
-}  // namespace
-
-SearchOutcome searchProblem(
+/// The one search loop behind every public entry point. `labelInvariant`
+/// says the problem's verdict is constant on relabeling orbits; the search
+/// then checks one canonical representative per orbit (DESIGN decision 20).
+SearchOutcome runSearch(
     StateId q, std::uint32_t n, Fairness fairness, bool symmetricSpace,
     bool selfStabilizing,
     const std::function<Problem(const Protocol&)>& problemFor,
-    const SearchOptions& options) {
+    const SearchOptions& options, bool labelInvariant) {
   const std::uint64_t total =
       symmetricSpace ? symmetricProtocolCount(q) : allProtocolCount(q);
+  // Explore ids are (searchId << 32) | (idx * slots + slot + 1): unique,
+  // ascending in candidate order, and independent of the thread count.
+  const std::uint64_t slots =
+      selfStabilizing ? 1 : std::max<std::uint64_t>(q, 1);
+  if (total > UINT32_MAX / slots) {
+    throw std::overflow_error(
+        "protocol space too large for 32-bit exploration ids");
+  }
+  // Compressed byte counts depend on the labels, so budget truncation is
+  // not orbit-invariant: a byte budget checks every candidate.
+  const RelabelingGroup group(q, symmetricSpace,
+                              /*trivial=*/!labelInvariant ||
+                                  options.maxBytes > 0);
   const std::uint32_t requested = detail::resolveThreads(options.threads);
   const std::uint32_t K = static_cast<std::uint32_t>(
       std::min<std::uint64_t>(requested, std::max<std::uint64_t>(total, 1)));
   const std::uint64_t searchId = options.searchId;
 
-  if (K <= 1) {
-    // Serial reference path — event-for-event identical to the historical
-    // single-threaded loop.
-    ExploreObserver* observer = options.observer;
-    const PhaseScope searchPhase(observer, searchId, "search");
-    const auto start = std::chrono::steady_clock::now();
-    // Unique id per inner exploration: high half names the search, low half
-    // counts checker invocations (see the header contract).
-    std::uint64_t exploreSeq = 0;
-
-    auto emitProgress = [&](const SearchOutcome& o, bool done) {
-      if (observer == nullptr) return;
-      const double elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      SearchProgressEvent e;
-      e.searchId = searchId;
-      e.examined = o.examined;
-      e.total = total;
-      e.solvers = o.solvers;
-      e.unknown = o.unknown;
-      e.candidatesPerSec =
-          elapsed > 0.0 ? static_cast<double>(o.examined) / elapsed : 0.0;
-      e.elapsedMillis = elapsed * 1e3;
-      e.done = done;
-      observer->onSearchProgress(e);
-    };
-
-    SearchOutcome outcome;
-    for (std::uint64_t idx = 0; idx < total; ++idx) {
-      ++outcome.examined;
-      const CandidateVerdict verdict = evaluateCandidate(
-          q, n, fairness, symmetricSpace, selfStabilizing, problemFor, idx,
-          options, observer,
-          [&] { return (searchId << 32) | ++exploreSeq; });
-      if (verdict == CandidateVerdict::kSolves) {
-        ++outcome.solvers;
-        if (outcome.solverIndices.size() < 8) {
-          outcome.solverIndices.push_back(idx);
-        }
-      } else if (verdict == CandidateVerdict::kUnknown) {
-        ++outcome.unknown;
-      }
-      if (outcome.examined % kSearchProgressStride == 0) {
-        emitProgress(outcome, false);
-      }
-    }
-    emitProgress(outcome, true);
-    return outcome;
-  }
-
-  // Parallel dispatch: workers claim candidate indices from an atomic
-  // cursor, results are aggregated under one mutex, and solverIndices is the
-  // sorted-ascending prefix of ALL solver indices — the first witnesses by
-  // canonical candidate index, independent of completion order.
+  // Workers feed the observer through one serializing fan-in; a serial
+  // search hands it the caller's observer directly.
   SerializedExploreObserver serializedStorage(options.observer);
-  ExploreObserver* observer =
-      options.observer == nullptr ? nullptr : &serializedStorage;
+  ExploreObserver* observer = options.observer == nullptr || K <= 1
+                                  ? options.observer
+                                  : &serializedStorage;
   const PhaseScope searchPhase(observer, searchId, "search");
   const auto start = std::chrono::steady_clock::now();
 
-  std::atomic<std::uint64_t> exploreSeq{0};
+  // Workers claim candidate indices from an atomic cursor and skip every
+  // non-canonical one; results are aggregated under one mutex, weighted by
+  // orbit size. solverIndices keeps the smallest solver indices, not the
+  // first completions, so the outcome is the same for any thread count.
   std::atomic<std::uint64_t> cursor{0};
-  std::mutex mu;  // guards outcome, allSolvers, progress emission, firstError
+  std::mutex mu;  // guards outcome, progress emission, firstError
   SearchOutcome outcome;
-  std::vector<std::uint64_t> allSolvers;
   std::exception_ptr firstError;
 
   auto emitProgressLocked = [&](bool done) {
@@ -257,25 +302,30 @@ SearchOutcome searchProblem(
 
   auto worker = [&]() {
     try {
+      std::vector<std::uint64_t> members;
       for (;;) {
         const std::uint64_t idx =
             cursor.fetch_add(1, std::memory_order_relaxed);
         if (idx >= total) break;
+        if (!group.canonicalOrbit(idx, members)) continue;
         const CandidateVerdict verdict = evaluateCandidate(
             q, n, fairness, symmetricSpace, selfStabilizing, problemFor, idx,
-            options, observer, [&] {
-              return (searchId << 32) |
-                     (exploreSeq.fetch_add(1, std::memory_order_relaxed) + 1);
-            });
+            options, observer, (searchId << 32) | (idx * slots + 1));
+        const std::uint64_t weight = members.size();
         const std::lock_guard<std::mutex> lock(mu);
-        ++outcome.examined;
+        const std::uint64_t before = outcome.examined;
+        outcome.examined += weight;
         if (verdict == CandidateVerdict::kSolves) {
-          ++outcome.solvers;
-          allSolvers.push_back(idx);
+          outcome.solvers += weight;
+          auto& indices = outcome.solverIndices;
+          indices.insert(indices.end(), members.begin(), members.end());
+          std::sort(indices.begin(), indices.end());
+          if (indices.size() > 8) indices.resize(8);
         } else if (verdict == CandidateVerdict::kUnknown) {
-          ++outcome.unknown;
+          outcome.unknown += weight;
         }
-        if (outcome.examined % kSearchProgressStride == 0) {
+        if (before / kSearchProgressStride !=
+            outcome.examined / kSearchProgressStride) {
           emitProgressLocked(false);
         }
       }
@@ -293,11 +343,22 @@ SearchOutcome searchProblem(
   for (auto& t : pool) t.join();
   if (firstError != nullptr) std::rethrow_exception(firstError);
 
-  std::sort(allSolvers.begin(), allSolvers.end());
-  if (allSolvers.size() > 8) allSolvers.resize(8);
-  outcome.solverIndices = std::move(allSolvers);
   emitProgressLocked(true);
   return outcome;
+}
+
+Problem namingFor(const Protocol& p) { return namingProblem(p); }
+
+}  // namespace
+
+SearchOutcome searchProblem(
+    StateId q, std::uint32_t n, Fairness fairness, bool symmetricSpace,
+    bool selfStabilizing,
+    const std::function<Problem(const Protocol&)>& problemFor,
+    const SearchOptions& options) {
+  // An arbitrary problemFor need not be label-invariant: no quotient.
+  return runSearch(q, n, fairness, symmetricSpace, selfStabilizing,
+                   problemFor, options, /*labelInvariant=*/false);
 }
 
 SearchOutcome searchProblem(
@@ -316,19 +377,17 @@ SearchOutcome searchUniformNaming(StateId q, std::uint32_t n, Fairness fairness,
                                   bool symmetricSpace,
                                   ExploreObserver* observer,
                                   std::uint64_t searchId) {
-  return searchProblem(q, n, fairness, symmetricSpace,
-                       /*selfStabilizing=*/false,
-                       [](const Protocol& p) { return namingProblem(p); },
-                       observer, searchId);
+  SearchOptions options;
+  options.observer = observer;
+  options.searchId = searchId;
+  return searchUniformNaming(q, n, fairness, symmetricSpace, options);
 }
 
 SearchOutcome searchUniformNaming(StateId q, std::uint32_t n, Fairness fairness,
                                   bool symmetricSpace,
                                   const SearchOptions& options) {
-  return searchProblem(q, n, fairness, symmetricSpace,
-                       /*selfStabilizing=*/false,
-                       [](const Protocol& p) { return namingProblem(p); },
-                       options);
+  return runSearch(q, n, fairness, symmetricSpace, /*selfStabilizing=*/false,
+                   namingFor, options, /*labelInvariant=*/true);
 }
 
 SearchOutcome searchSelfStabilizingNaming(StateId q, std::uint32_t n,
@@ -336,20 +395,18 @@ SearchOutcome searchSelfStabilizingNaming(StateId q, std::uint32_t n,
                                           bool symmetricSpace,
                                           ExploreObserver* observer,
                                           std::uint64_t searchId) {
-  return searchProblem(q, n, fairness, symmetricSpace,
-                       /*selfStabilizing=*/true,
-                       [](const Protocol& p) { return namingProblem(p); },
-                       observer, searchId);
+  SearchOptions options;
+  options.observer = observer;
+  options.searchId = searchId;
+  return searchSelfStabilizingNaming(q, n, fairness, symmetricSpace, options);
 }
 
 SearchOutcome searchSelfStabilizingNaming(StateId q, std::uint32_t n,
                                           Fairness fairness,
                                           bool symmetricSpace,
                                           const SearchOptions& options) {
-  return searchProblem(q, n, fairness, symmetricSpace,
-                       /*selfStabilizing=*/true,
-                       [](const Protocol& p) { return namingProblem(p); },
-                       options);
+  return runSearch(q, n, fairness, symmetricSpace, /*selfStabilizing=*/true,
+                   namingFor, options, /*labelInvariant=*/true);
 }
 
 }  // namespace ppn

@@ -60,8 +60,32 @@ std::uint64_t allProtocolCount(StateId q);
 /// Decodes the index-th protocol of the full deterministic space.
 TabularProtocol decodeAnyProtocol(StateId q, std::uint64_t index);
 
+/// The group of state relabelings acting on a candidate space: S_q (every
+/// permutation of the q mobile states) or the trivial group. Relabeling
+/// protocol delta by a permutation pi gives delta'(pi a, pi b) =
+/// pi(delta(a, b)), which stays in the same space (symmetric or not).
+class RelabelingGroup {
+ public:
+  /// `trivial` gives the one-element group: every orbit is a singleton.
+  RelabelingGroup(StateId q, bool symmetricSpace, bool trivial);
+
+  /// True iff `idx` is the smallest candidate index in its orbit. Then
+  /// `members` holds the orbit's distinct indices, sorted ascending (so
+  /// members.front() == idx and members.size() is the orbit size). For a
+  /// non-canonical idx `members` is left unspecified.
+  bool canonicalOrbit(std::uint64_t idx,
+                      std::vector<std::uint64_t>& members) const;
+
+ private:
+  StateId q_;
+  bool symmetricSpace_;
+  std::vector<std::vector<StateId>> perms_;  ///< the non-identity elements
+};
+
 enum class Fairness { kWeak, kGlobal };
 
+/// All counts are in candidates (orbit members), whether or not the search
+/// model-checked each member or only its orbit's representative.
 struct SearchOutcome {
   std::uint64_t examined = 0;
   std::uint64_t solvers = 0;
@@ -69,12 +93,15 @@ struct SearchOutcome {
   /// solver nor non-solver. A lower-bound claim ("zero solvers") is only
   /// conclusive when this is zero too.
   std::uint64_t unknown = 0;
-  /// Indices of the first few solving protocols (<= 8), for inspection.
+  /// The smallest solving candidate indices (<= 8, ascending), for
+  /// inspection.
   std::vector<std::uint64_t> solverIndices;
 };
 
-/// How often searches report progress: one SearchProgressEvent per this many
-/// candidates examined (plus a final done=true event per search).
+/// How often searches report progress: one SearchProgressEvent each time
+/// `examined` crosses a multiple of this stride (plus a final done=true event
+/// per search). A quotiented search advances `examined` by whole orbits, so
+/// the events need not land on exact multiples.
 constexpr std::uint64_t kSearchProgressStride = 256;
 
 /// Knobs for the exhaustive searches.
@@ -94,7 +121,7 @@ struct SearchOptions {
   std::string spillDir;
   /// Worker threads dispatching CANDIDATES (the inner explorations stay
   /// serial — candidate-level parallelism dominates for these workloads).
-  /// 1 = today's serial loop; 0 = hardware concurrency. The outcome is
+  /// 1 = the calling thread only; 0 = hardware concurrency. The outcome is
   /// deterministic for any value: counts are exact and solverIndices holds
   /// the smallest candidate indices, not the first completions. At
   /// threads > 1 the observer is fed through a SerializedExploreObserver
@@ -112,13 +139,20 @@ struct SearchOptions {
 /// capture only the predicate; naming needs the protocol's name semantics).
 /// With `selfStabilizing` the protocol must solve from EVERY configuration;
 /// otherwise from SOME uniform initialization of the designer's choice.
+/// `problemFor` need not be invariant under relabeling the states, so this
+/// search model-checks every candidate (the trivial relabeling group).
 ///
 /// A non-null `observer` receives a "search"-phase pair tagged with
-/// `searchId`, one SearchProgressEvent per kSearchProgressStride candidates
-/// plus a final done=true event, and is forwarded into every per-candidate
-/// checker invocation. Those inner explorations get unique ascending
-/// exploreIds of the form (searchId << 32) | seq (seq >= 1), so one JSONL
-/// stream carrying several searches stays attributable.
+/// `searchId`, a SearchProgressEvent whenever `examined` crosses a multiple
+/// of kSearchProgressStride plus a final done=true event, and is forwarded
+/// into every per-candidate checker invocation. Those inner explorations get
+/// exploreIds (searchId << 32) | seq with seq = idx * slots + slot + 1, where
+/// idx is the candidate index, slots is q (one per uniform initial state;
+/// 1 when self-stabilizing) and slot the initial state tried (0 when
+/// self-stabilizing). The ids are unique, ascending in serial order and the
+/// same at every thread count, so one JSONL stream carrying several searches
+/// stays attributable. A space whose seq cannot fit in 32 bits throws
+/// std::overflow_error.
 SearchOutcome searchProblem(
     StateId q, std::uint32_t n, Fairness fairness, bool symmetricSpace,
     bool selfStabilizing,
@@ -136,6 +170,13 @@ SearchOutcome searchProblem(
 /// initialization (all agents in the same state, the designer's choice) from
 /// which the protocol solves naming for a population of `n` agents under
 /// `fairness`? Counts the protocols for which the answer is yes.
+///
+/// The verdict is constant on each S_q relabeling orbit (DESIGN decision
+/// 20), so the naming searches model-check only the orbit's smallest index
+/// and weight it by the orbit size: `examined`, `solvers` and `unknown` count
+/// orbit members, and solver orbits are expanded back into solverIndices.
+/// With options.maxBytes > 0 they check every candidate instead, because
+/// byte-budget truncation depends on the labels.
 SearchOutcome searchUniformNaming(StateId q, std::uint32_t n, Fairness fairness,
                                   bool symmetricSpace,
                                   ExploreObserver* observer = nullptr,
@@ -147,7 +188,7 @@ SearchOutcome searchUniformNaming(StateId q, std::uint32_t n, Fairness fairness,
 
 /// Like searchUniformNaming but quantifying over ARBITRARY initialization
 /// (self-stabilizing naming): the protocol must solve from every
-/// configuration.
+/// configuration. Quotiented by relabeling exactly as searchUniformNaming.
 SearchOutcome searchSelfStabilizingNaming(StateId q, std::uint32_t n,
                                           Fairness fairness,
                                           bool symmetricSpace,

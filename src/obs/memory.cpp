@@ -24,14 +24,12 @@ const char* memoryComponentName(MemoryComponent c) {
 
 void MemoryStatsCollector::onMemorySample(const MemorySampleEvent& e) {
   const std::lock_guard<std::mutex> lock(mu_);
-  for (Row& row : rows_) {
-    if (row.exploreId == e.exploreId) {
-      row.last = e;
-      if (e.totalBytes > row.peakTotalBytes) row.peakTotalBytes = e.totalBytes;
-      return;
-    }
-  }
-  rows_.push_back(Row{e.exploreId, e, e.totalBytes});
+  const auto [it, inserted] =
+      rows_.try_emplace(e.exploreId, Row{e, e.totalBytes});
+  if (inserted) return;
+  Row& row = it->second;
+  row.last = e;
+  if (e.totalBytes > row.peakTotalBytes) row.peakTotalBytes = e.totalBytes;
 }
 
 std::uint64_t MemoryStatsCollector::explorations() const {
@@ -42,7 +40,7 @@ std::uint64_t MemoryStatsCollector::explorations() const {
 std::uint64_t MemoryStatsCollector::peakTotalBytes() const {
   const std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t peak = 0;
-  for (const Row& row : rows_) {
+  for (const auto& [id, row] : rows_) {
     if (row.peakTotalBytes > peak) peak = row.peakTotalBytes;
   }
   return peak;
@@ -51,10 +49,9 @@ std::uint64_t MemoryStatsCollector::peakTotalBytes() const {
 std::optional<MemorySampleEvent> MemoryStatsCollector::lastSample(
     std::uint64_t exploreId) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  for (const Row& row : rows_) {
-    if (row.exploreId == exploreId) return row.last;
-  }
-  return std::nullopt;
+  const auto it = rows_.find(exploreId);
+  if (it == rows_.end()) return std::nullopt;
+  return it->second.last;
 }
 
 bool MemoryStatsCollector::writeJson(const std::string& path) const {
@@ -65,14 +62,14 @@ bool MemoryStatsCollector::writeJson(const std::string& path) const {
     w.key("kind").value("ppn-memory-stats");
     w.key("explorations").value(static_cast<std::uint64_t>(rows_.size()));
     std::uint64_t peak = 0;
-    for (const Row& row : rows_) {
+    for (const auto& [id, row] : rows_) {
       if (row.peakTotalBytes > peak) peak = row.peakTotalBytes;
     }
     w.key("peak_total_bytes").value(peak);
     w.key("rows").beginArray();
-    for (const Row& row : rows_) {
+    for (const auto& [id, row] : rows_) {
       w.beginObject();
-      w.key("explore").value(row.exploreId);
+      w.key("explore").value(id);
       w.key("configs_bytes").value(row.last.configsBytes);
       w.key("adjacency_bytes").value(row.last.adjacencyBytes);
       w.key("dedup_bytes").value(row.last.dedupBytes);

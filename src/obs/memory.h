@@ -19,10 +19,10 @@
 
 #include <array>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "obs/explore_observer.h"
 
@@ -126,6 +126,8 @@ class MemoryLedger {
 /// ExploreObserver that retains the last and peak memory_sample per
 /// exploration id — the backing for the bench binaries' --memory-stats-out
 /// flag. Thread-safe (samples may arrive from concurrent explorations).
+/// Rows are indexed by explore id (O(log n) per sample) and written in
+/// ascending id order, so the output does not depend on arrival order.
 class MemoryStatsCollector final : public ExploreObserver {
  public:
   void onMemorySample(const MemorySampleEvent& e) override;
@@ -143,12 +145,11 @@ class MemoryStatsCollector final : public ExploreObserver {
 
  private:
   struct Row {
-    std::uint64_t exploreId = 0;
     MemorySampleEvent last;
     std::uint64_t peakTotalBytes = 0;
   };
   mutable std::mutex mu_;
-  std::vector<Row> rows_;  // insertion order; linear scan (few explorations)
+  std::map<std::uint64_t, Row> rows_;  // keyed by explore id
 };
 
 }  // namespace ppn

@@ -8,6 +8,8 @@
 //    reason names the byte budget.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -320,6 +322,49 @@ TEST(MemoryBudget, HighWaterIsMonotoneAcrossSamples) {
       prev = s.highWaterBytes;
     }
   }
+}
+
+TEST(MemoryStatsCollector, IndexesRowsByIdAndWritesThemSorted) {
+  // Samples arrive interleaved and out of id order, as they do from a
+  // parallel search; the summary must not depend on that order.
+  MemoryStatsCollector stats;
+  auto sample = [&](std::uint64_t id, std::uint64_t total, bool done) {
+    MemorySampleEvent e;
+    e.exploreId = id;
+    e.totalBytes = total;
+    e.done = done;
+    stats.onMemorySample(e);
+  };
+  sample(9, 100, false);
+  sample(2, 300, false);
+  sample(5, 50, true);
+  sample(2, 200, true);
+  sample(9, 120, true);
+  EXPECT_EQ(stats.explorations(), 3u);
+  EXPECT_EQ(stats.peakTotalBytes(), 300u);
+  ASSERT_TRUE(stats.lastSample(2).has_value());
+  EXPECT_EQ(stats.lastSample(2)->totalBytes, 200u);
+  EXPECT_TRUE(stats.lastSample(2)->done);
+  EXPECT_FALSE(stats.lastSample(7).has_value());
+
+  const std::string path = ::testing::TempDir() + "memory_stats_sorted.json";
+  ASSERT_TRUE(stats.writeJson(path));
+  std::ifstream in(path);
+  const std::string json((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const auto at2 = json.find("\"explore\":2,");
+  const auto at5 = json.find("\"explore\":5,");
+  const auto at9 = json.find("\"explore\":9,");
+  ASSERT_NE(at2, std::string::npos);
+  ASSERT_NE(at5, std::string::npos);
+  ASSERT_NE(at9, std::string::npos);
+  EXPECT_LT(at2, at5);
+  EXPECT_LT(at5, at9);
+  EXPECT_NE(json.find("\"total_bytes\":200,\"high_water_bytes\":0,"
+                      "\"spill_bytes\":0,\"spill_runs\":0,"
+                      "\"peak_total_bytes\":300"),
+            std::string::npos)
+      << json;
 }
 
 }  // namespace
